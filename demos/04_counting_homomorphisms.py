@@ -12,7 +12,7 @@ pres = homcount.surface_presentation(2)
 print("genus-2 relator:", pres.relators[0])
 formula = homcount.surface_hom_count(table, 2)
 oracle = homcount.oracle_surface_count(ctx, 2)
-scan = homcount.hom_count_bruteforce(pres, ctx, workers=4)
+scan = homcount.hom_count_bruteforce(pres, ctx)
 print("formula:", formula, " convolution:", oracle, " scan:", scan)
 
 # commutator fibers per class; the identity fiber is |G| * #classes

@@ -237,28 +237,33 @@ def _cache_save(table: CharacterTable, cache_dir: str):
 
 
 def _cache_load(ctx: matgrp.GroupContext, seed: int, cache_dir: str) -> CharacterTable | None:
+    """The cached table, or None when the entry is missing or malformed."""
     path = _table_cache_path(ctx, seed, cache_dir)
     if not os.path.exists(path):
         return None
+    k = len(ctx.classes)
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+        if payload["format"] != CACHE_FORMAT or payload["k"] != k:
+            return None
+        values = np.array(payload["values_re"]) + 1j * np.array(payload["values_im"])
+        table = CharacterTable(
+            ctx=ctx,
+            k=k,
+            values=values,
+            degrees=tuple(payload["degrees"]),
+            fs_indicators=tuple(payload["fs_indicators"]),
+            class_sizes=tuple(c.size for c in ctx.classes),
+            centralizer_orders=tuple(c.centralizer_order for c in ctx.classes),
+            class_element_orders=tuple(c.element_order for c in ctx.classes),
+            identity_class=payload["identity_class"],
+            residual=payload["residual"],
+            seed=payload["seed"],
+            attempts=payload["attempts"],
+        )
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    if payload.get("format") != CACHE_FORMAT or payload.get("k") != len(ctx.classes):
+    if values.shape != (k, k) or len(table.degrees) != k or len(table.fs_indicators) != k:
         return None
-    values = np.array(payload["values_re"]) + 1j * np.array(payload["values_im"])
-    return CharacterTable(
-        ctx=ctx,
-        k=payload["k"],
-        values=values,
-        degrees=tuple(payload["degrees"]),
-        fs_indicators=tuple(payload["fs_indicators"]),
-        class_sizes=tuple(c.size for c in ctx.classes),
-        centralizer_orders=tuple(c.centralizer_order for c in ctx.classes),
-        class_element_orders=tuple(c.element_order for c in ctx.classes),
-        identity_class=payload["identity_class"],
-        residual=payload["residual"],
-        seed=payload["seed"],
-        attempts=payload["attempts"],
-    )
+    return table

@@ -2,8 +2,9 @@
 
 Output is a JSON envelope (or a flat CSV projection of its rows) with the
 tool version, an echo of the semantic configuration, and the run seed.  The
-worker count and cache location are deliberately left out of the echo so
-reruns with different parallelism or cache placement stay byte-identical.
+cache location is deliberately left out of the echo so reruns with a
+different cache placement stay byte-identical.  Tuple scans run in one
+thread, block by block; --workers is still accepted and is ignored.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ class RunConfig:
     action: str | None
     fmt: str
     seed: int
-    workers: int
-    cache_dir: str | None
     params: dict = field(default_factory=dict)
 
     def echo(self) -> dict:
@@ -107,7 +106,8 @@ def _emit(cfg: RunConfig, result: dict, certificates: dict | None = None) -> Non
 def _add_io_args(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=0, help="0 = all cores")
+    p.add_argument("--workers", type=int, default=0,
+                   help="accepted and ignored; scans run in one thread")
     p.add_argument("--cache", default=None, help="cache directory (or MATGROUPS_CACHE)")
 
 
@@ -147,10 +147,6 @@ def _build_group(args, cache_dir):
 
 def _cache_dir(args) -> str | None:
     return args.cache or os.environ.get("MATGROUPS_CACHE") or None
-
-
-def _workers(args) -> int:
-    return args.workers if args.workers > 0 else (os.cpu_count() or 1)
 
 
 def _group_echo(kind: str, n: int, p: int, m: int) -> dict:
@@ -208,8 +204,7 @@ def _cmd_group(args) -> int:
         }
         for c in ctx.classes
     ]
-    cfg = RunConfig("group", None, args.format, args.seed, _workers(args), cache,
-                    _group_echo(kind, n, p, m))
+    cfg = RunConfig("group", None, args.format, args.seed, _group_echo(kind, n, p, m))
     _emit(cfg, {"order": ctx.order, "classes": len(ctx.classes), "rows": rows})
     return 0
 
@@ -237,15 +232,13 @@ def _cmd_chartable(args) -> int:
         "zeta2_minus_1": chartab.rep_zeta(table, 2.0) - 1.0,
         "rows": rows,
     }
-    cfg = RunConfig("chartable", None, args.format, args.seed, _workers(args), cache,
-                    _group_echo(kind, n, p, m))
+    cfg = RunConfig("chartable", None, args.format, args.seed, _group_echo(kind, n, p, m))
     _emit(cfg, result, _table_certs(table))
     return 0
 
 
 def _cmd_count(args) -> int:
     cache = _cache_dir(args)
-    workers = _workers(args)
     ctx, (kind, n, p, m) = _build_group(args, cache)
     params = _group_echo(kind, n, p, m)
     certs: dict = {}
@@ -278,19 +271,18 @@ def _cmd_count(args) -> int:
         result = {"count": count, "method": "character-formula"}
     elif args.action == "homs":
         pres = _presentation_from(args)
-        count = homcount.hom_count_bruteforce(pres, ctx, workers=workers)
+        count = homcount.hom_count_bruteforce(pres, ctx)
         params.update({"generators": args.generators, "relators": args.relators or ""})
         result = {"count": count, "method": "scan"}
     else:
         raise UsageError(f"unknown count action {args.action!r}")
-    cfg = RunConfig("count", args.action, args.format, args.seed, workers, cache, params)
+    cfg = RunConfig("count", args.action, args.format, args.seed, params)
     _emit(cfg, result, certs)
     return 0
 
 
 def _cmd_wordmap(args) -> int:
     cache = _cache_dir(args)
-    workers = _workers(args)
     if args.action == "dimension":
         mfam = re.match(r"^(SL|GL)(\d+)$", args.family or "")
         if not mfam:
@@ -299,9 +291,9 @@ def _cmd_wordmap(args) -> int:
         qs = _int_list(args.qs)
         prof = wordmap.dimension_estimate(
             pres, (mfam.group(1), int(mfam.group(2))), qs,
-            seed=args.seed, workers=workers, cache_dir=cache,
+            seed=args.seed, cache_dir=cache,
         )
-        cfg = RunConfig("wordmap", "dimension", args.format, args.seed, workers, cache,
+        cfg = RunConfig("wordmap", "dimension", args.format, args.seed,
                         {"family": args.family, "qs": qs,
                          "generators": args.generators, "relators": args.relators or ""})
         _emit(cfg, {
@@ -324,20 +316,20 @@ def _cmd_wordmap(args) -> int:
     elif args.action == "fiber":
         w = homcount.parse_word(args.word)
         target = ctx.identity if args.target is None else ctx.element(_parse_matrix(args.target))
-        count = wordmap.fiber_count(w, ctx, target, workers=workers)
+        count = wordmap.fiber_count(w, ctx, target)
         params.update({"word": args.word, "target": args.target or "identity"})
         result = {"count": count}
     elif args.action == "double":
         w1 = homcount.parse_word(args.w1)
         w2 = homcount.parse_word(args.w2)
-        image, fraction = wordmap.double_word_stats(w1, w2, ctx, workers=workers)
+        image, fraction = wordmap.double_word_stats(w1, w2, ctx)
         params.update({"w1": args.w1, "w2": args.w2})
         result = {"image_size": image, "fraction": fraction}
     elif args.action == "ct":
         result = {"commutative_transitive": wordmap.commutative_transitivity_check(ctx)}
     else:
         raise UsageError(f"unknown wordmap action {args.action!r}")
-    cfg = RunConfig("wordmap", args.action, args.format, args.seed, workers, cache, params)
+    cfg = RunConfig("wordmap", args.action, args.format, args.seed, params)
     _emit(cfg, result)
     return 0
 
@@ -404,18 +396,16 @@ def _cmd_torsion(args) -> int:
         result = {"count": len(rows), "rows": rows}
     else:
         raise UsageError(f"unknown torsion action {args.action!r}")
-    cfg = RunConfig("torsion", args.action, args.format, args.seed, _workers(args),
-                    _cache_dir(args), params)
+    cfg = RunConfig("torsion", args.action, args.format, args.seed, params)
     _emit(cfg, result)
     return 0
 
 
 def _cmd_charbound(args) -> int:
-    cache = _cache_dir(args)
     if args.action == "gauss":
         count = charbound.gaussian_binomial(args.a, args.w, args.q)
-        cfg = RunConfig("charbound", "gauss", args.format, args.seed, _workers(args),
-                        cache, {"a": args.a, "w": args.w, "q": args.q})
+        cfg = RunConfig("charbound", "gauss", args.format, args.seed,
+                        {"a": args.a, "w": args.w, "q": args.q})
         _emit(cfg, {"count": count})
         return 0
     if args.action == "fixed":
@@ -424,8 +414,8 @@ def _cmd_charbound(args) -> int:
         rows_lit = _parse_matrix(args.matrix)
         T = matgrp.matrix_element(fld, rows_lit)
         fb = charbound.fixed_subspace_bound_check(T, args.s)
-        cfg = RunConfig("charbound", "fixed", args.format, args.seed, _workers(args),
-                        cache, {"q": args.q, "matrix": args.matrix, "s": args.s})
+        cfg = RunConfig("charbound", "fixed", args.format, args.seed,
+                        {"q": args.q, "matrix": args.matrix, "s": args.s})
         _emit(cfg, {
             "count": fb.count,
             "exponent": fb.exponent if fb.count else None,
@@ -434,13 +424,13 @@ def _cmd_charbound(args) -> int:
         })
         return 0
     if args.action == "bound":
+        cache = _cache_dir(args)
         ctx, (kind, n, p, m) = _build_group(args, cache)
         table = _table_for(ctx, args, cache)
         rep = charbound.character_bound_check(ctx, table, args.alpha, args.beta)
         params = _group_echo(kind, n, p, m)
         params.update({"alpha": args.alpha, "beta": args.beta})
-        cfg = RunConfig("charbound", "bound", args.format, args.seed, _workers(args),
-                        cache, params)
+        cfg = RunConfig("charbound", "bound", args.format, args.seed, params)
         _emit(cfg, {
             "group": rep.group_key,
             "params_within_theorem": rep.params_within_theorem,
@@ -466,7 +456,7 @@ def _cmd_charbound(args) -> int:
 # verify sweep: formulas against oracles, exact
 
 
-def _verify_checks(seed: int, workers: int, cache: str | None):
+def _verify_checks(seed: int, cache: str | None):
     groups = [("GL", 2, 2), ("SL", 2, 3), ("GL", 2, 3)]
     for kind, n, q in groups:
         ctx = matgrp.group_build(kind, n, ff.field_make_q(q), cache_dir=cache)
@@ -501,15 +491,13 @@ def _verify_checks(seed: int, workers: int, cache: str | None):
             yield (f"{key} fs-identity class {l}", int(round(fs_sum)), int(sq[rep_idx]))
 
     ctx3 = matgrp.group_build("SL", 2, ff.field_make(3), cache_dir=cache)
-    scan = wordmap.fiber_count(
-        homcount.parse_word("[x1,x2]"), ctx3, ctx3.identity, workers=workers
-    )
+    scan = wordmap.fiber_count(homcount.parse_word("[x1,x2]"), ctx3, ctx3.identity)
     yield ("SL2(F_3) commutator fiber = |G| * #classes", scan,
            ctx3.order * len(ctx3.classes))
     pres = homcount.surface_presentation(2)
     tab3 = chartab.character_table(ctx3, seed=seed, cache_dir=cache)
     yield ("SL2(F_3) surface genus 2 scan vs formula",
-           homcount.hom_count_bruteforce(pres, ctx3, workers=workers),
+           homcount.hom_count_bruteforce(pres, ctx3),
            homcount.surface_hom_count(tab3, 2))
 
     for q, n in [(2, 2), (3, 2), (2, 3), (5, 2)]:
@@ -533,16 +521,15 @@ def _verify_checks(seed: int, workers: int, cache: str | None):
 
 
 def _cmd_verify(args) -> int:
-    workers = _workers(args)
     cache = _cache_dir(args)
     rows = []
     mismatches = 0
-    for name, got, want in _verify_checks(args.seed, workers, cache):
+    for name, got, want in _verify_checks(args.seed, cache):
         ok = got == want
         mismatches += not ok
         rows.append({"check": name, "got": got, "want": want,
                      "status": "ok" if ok else "mismatch"})
-    cfg = RunConfig("verify", None, args.format, args.seed, workers, cache, {})
+    cfg = RunConfig("verify", None, args.format, args.seed, {})
     _emit(cfg, {"checks": len(rows), "mismatches": mismatches, "rows": rows})
     return 1 if mismatches else 0
 

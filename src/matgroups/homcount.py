@@ -9,7 +9,6 @@ quadratic shapes).  Tests and the verify sweep compare the two.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from .errors import BadRange, BudgetExceeded, RoundingFailure
 
 TUPLE_BUDGET = 10**8
 SCAN_ORDER_BUDGET = 10**4  # pairwise passes are |G|^2
-CAYLEY_LIMIT = 2048
+SCAN_BLOCK = 2**16  # tuples evaluated together in one vectorized block
 ROUND_TOL = 1e-3
 
 
@@ -169,17 +168,7 @@ class ScanKernel:
     def __init__(self, ctx: matgrp.GroupContext):
         self.ctx = ctx
         self.inv = ctx.inv_idx
-        self.cayley = None
-        if ctx.order <= CAYLEY_LIMIT:
-            self.cayley = getattr(ctx, "_cayley", None)
-            if self.cayley is None:
-                N = ctx.order
-                cay = np.empty((N, N), dtype=np.int32)
-                for i in range(N):
-                    prods = matgrp.vec_matmul(ctx.field, ctx.mats[i][None], ctx.mats)
-                    cay[i] = ctx.idx_of_mats(prods)
-                ctx._cayley = cay
-                self.cayley = cay
+        self.cayley = ctx.cayley
 
     def compose(self, a, b):
         if self.cayley is not None:
@@ -191,17 +180,13 @@ class ScanKernel:
         idx = self.ctx.idx_of_mats(matgrp.vec_matmul(self.ctx.field, A, B))
         return int(idx[0]) if scalar else idx
 
-    def letter_values(self, g_idx_scalar: int, sign: int):
-        return g_idx_scalar if sign > 0 else int(self.inv[g_idx_scalar])
-
     def eval_word_vec(self, word: Word, assign: list, vec_gen: int, vec: np.ndarray):
-        """Evaluate word with scalar assignments except vec_gen, vectorized."""
+        """Evaluate word at assign (ints or index arrays), with vec for vec_gen."""
         state = None  # None means the identity
         for g, s in word.letters:
-            if g == vec_gen:
-                val = vec if s > 0 else self.inv[vec]
-            else:
-                val = self.letter_values(assign[g - 1], s)
+            val = vec if g == vec_gen else assign[g - 1]
+            if s < 0:
+                val = self.inv[val]
             state = val if state is None else self.compose(state, val)
         if state is None:
             return np.full(len(vec), self.ctx.identity_index, dtype=np.int64)
@@ -215,46 +200,39 @@ def _check_tuple_budget(order: int, d: int):
         raise BudgetExceeded(f"{order}^{d} tuples exceeds budget {TUPLE_BUDGET}")
 
 
-def _prefix_chunks(N: int, workers: int) -> list[np.ndarray]:
-    workers = max(1, int(workers))
-    return [c for c in np.array_split(np.arange(N), workers) if len(c)]
+def _scan_blocks(ctx: matgrp.GroupContext, words, d: int):
+    """Values of the words over all of G^d (d >= 1), one block at a time.
 
-
-def word_histogram(ctx: matgrp.GroupContext, word: Word, workers: int = 1) -> np.ndarray:
-    """#{tuples t : word(t) = z} for every element z, by full scan."""
-    d = word.max_gen
-    if d == 0:
-        # the empty word has the single empty assignment
-        hist = np.zeros(ctx.order, dtype=np.int64)
-        hist[ctx.identity_index] = 1
-        return hist
+    The last k generators run vectorized over the N^k tuples of a block, k >= 1
+    the largest with N^k <= SCAN_BLOCK; the leading d - k stay Python ints.
+    Each block is a list with one index array per word.
+    """
     _check_tuple_budget(ctx.order, d)
     kern = ScanKernel(ctx)
     N = ctx.order
-    vec = np.arange(N, dtype=np.int64)
+    k = 1
+    while k < d and N ** (k + 1) <= SCAN_BLOCK:
+        k += 1
+    tail = list(np.indices((N,) * k, dtype=np.int64).reshape(k, -1))
+    return (
+        [kern.eval_word_vec(w, [*head, *tail], d, tail[-1]) for w in words]
+        for head in itertools.product(range(N), repeat=d - k)
+    )
 
-    def run_chunk(chunk: np.ndarray) -> np.ndarray:
-        hist = np.zeros(N, dtype=np.int64)
-        if d == 1:
-            vals = kern.eval_word_vec(word, [], 1, chunk)
-            np.add.at(hist, vals, 1)
-            return hist
-        for head in chunk:
-            for rest in itertools.product(range(N), repeat=d - 2):
-                assign = [int(head), *rest, -1]
-                vals = kern.eval_word_vec(word, assign, d, vec)
-                np.add.at(hist, vals, 1)
+
+def word_histogram(ctx: matgrp.GroupContext, word: Word) -> np.ndarray:
+    """#{tuples t : word(t) = z} for every element z, by full scan."""
+    hist = np.zeros(ctx.order, dtype=np.int64)
+    if word.max_gen == 0:
+        # the empty word has the single empty assignment
+        hist[ctx.identity_index] = 1
         return hist
-
-    chunks = _prefix_chunks(N if d > 1 else N, workers)
-    if len(chunks) == 1:
-        return run_chunk(chunks[0])
-    with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
-        parts = list(ex.map(run_chunk, chunks))
-    return np.sum(parts, axis=0)
+    for (vals,) in _scan_blocks(ctx, [word], word.max_gen):
+        hist += np.bincount(vals, minlength=ctx.order)
+    return hist
 
 
-def hom_count_bruteforce(pres: Presentation, ctx: matgrp.GroupContext, workers: int = 1) -> int:
+def hom_count_bruteforce(pres: Presentation, ctx: matgrp.GroupContext) -> int:
     """Count homomorphisms from the presented group by scanning tuples.
 
     A single relator ending in a generator that occurs exactly once in it
@@ -274,33 +252,11 @@ def hom_count_bruteforce(pres: Presentation, ctx: matgrp.GroupContext, workers: 
                 return ctx.order ** (d - 1)
         else:
             return ctx.order**d
-    _check_tuple_budget(ctx.order, d)
-    kern = ScanKernel(ctx)
-    N = ctx.order
-    vec = np.arange(N, dtype=np.int64)
     ident = ctx.identity_index
-
-    def run_chunk(chunk: np.ndarray) -> int:
-        total = 0
-        if d == 1:
-            mask = np.ones(len(chunk), dtype=bool)
-            for rel in pres.relators:
-                mask &= kern.eval_word_vec(rel, [], 1, chunk) == ident
-            return int(mask.sum())
-        for head in chunk:
-            for rest in itertools.product(range(N), repeat=d - 2):
-                assign = [int(head), *rest, -1]
-                mask = np.ones(N, dtype=bool)
-                for rel in pres.relators:
-                    mask &= kern.eval_word_vec(rel, assign, d, vec) == ident
-                total += int(mask.sum())
-        return total
-
-    chunks = _prefix_chunks(N, workers)
-    if len(chunks) == 1:
-        return run_chunk(chunks[0])
-    with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
-        return sum(ex.map(run_chunk, chunks))
+    return sum(
+        int(np.logical_and.reduce([vals == ident for vals in block]).sum())
+        for block in _scan_blocks(ctx, pres.relators, d)
+    )
 
 
 # -- quadratic-shape oracles built from |G|^2 passes
@@ -340,12 +296,19 @@ def squaring_histogram(ctx: matgrp.GroupContext) -> np.ndarray:
 
 
 def element_convolution(ctx: matgrp.GroupContext, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(f * g)(z) = sum_u f(u) g(u^-1 z)."""
+    """(f * g)(z) = sum_u f(u) g(u^-1 z), exactly.
+
+    Every partial sum is at most max|f| * sum|g| in size; below 2^63 the
+    convolution runs in int64, otherwise in Python ints (dtype object).
+    """
     _check_scan_budget(ctx)
     kern = ScanKernel(ctx)
     N = ctx.order
     all_idx = np.arange(N, dtype=np.int64)
-    out = np.zeros(N, dtype=np.int64)
+    bound = max(abs(int(v)) for v in f) * sum(abs(int(v)) for v in g)
+    dtype = np.int64 if bound < 2**63 else object
+    g = np.asarray(g, dtype=dtype)
+    out = np.zeros(N, dtype=dtype)
     for u in range(N):
         fu = int(f[u])
         if fu:

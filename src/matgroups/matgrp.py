@@ -25,6 +25,7 @@ from .errors import (
 )
 
 ORDER_BUDGET = 10**5
+CAYLEY_LIMIT = 2048  # largest order whose full multiplication table is kept
 CACHE_FORMAT = 1
 
 
@@ -303,6 +304,7 @@ class GroupContext:
         self._classes: list[ConjugacyClassInfo] | None = None
         self._class_of: np.ndarray | None = None
         self._inv_idx: np.ndarray | None = None
+        self._cayley: np.ndarray | None = None
         self.cache_dir: str | None = None
 
     # -- basic element handling
@@ -356,6 +358,16 @@ class GroupContext:
             inv = vec_mat_inv(self.field, self.mats)
             self._inv_idx = self.idx_of_mats(inv)
         return self._inv_idx
+
+    @property
+    def cayley(self) -> np.ndarray | None:
+        """The |G| x |G| table of product indices, or None above CAYLEY_LIMIT."""
+        if self._cayley is None and self.order <= CAYLEY_LIMIT:
+            cay = np.empty((self.order, self.order), dtype=np.int32)
+            for i in range(self.order):
+                cay[i] = self.idx_of_mats(vec_matmul(self.field, self.mats[i][None], self.mats))
+            self._cayley = cay
+        return self._cayley
 
     def __repr__(self):
         return f"GroupContext({self.kind}_{self.n}(F_{self.field.q}), order={self.order})"
@@ -583,36 +595,49 @@ def _cache_save(ctx: GroupContext):
 
 
 def _cache_load(kind: str, n: int, field: ff.FieldSpec, cache_dir: str) -> GroupContext | None:
+    """The cached context, or None when the entry is missing or malformed."""
     path = _cache_path(kind, n, field, cache_dir)
     if not os.path.exists(path):
         return None
+    order = group_order(kind, n, field.q)
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+        if payload["format"] != CACHE_FORMAT or payload["modulus"] != list(field.modulus):
+            return None
+        class_of = np.array(payload["class_of"], dtype=np.int32)
+        rows = [
+            (int(c["rep_index"]), int(c["size"]), int(c["element_order"]),
+             tuple(c["char_poly"]), c["is_semisimple"], tuple(tuple(p) for p in c["eig"]))
+            for c in payload["classes"]
+        ]
+    except (OSError, ValueError, KeyError, TypeError, OverflowError):
         return None
-    if payload.get("format") != CACHE_FORMAT or payload.get("modulus") != list(field.modulus):
+    if (
+        class_of.shape != (order,)
+        or ((class_of < 0) | (class_of >= len(rows))).any()
+        or sum(size for _, size, *_ in rows) != order
+        or not all(0 <= rep < order and size > 0 for rep, size, *_ in rows)
+    ):
         return None
     # elements are regenerated; the cache stores only class structure
     ctx = group_build_uncached(kind, n, field)
     ctx.cache_dir = cache_dir
-    ctx._class_of = np.array(payload["class_of"], dtype=np.int32)
-    classes = []
-    for i, c in enumerate(payload["classes"]):
-        classes.append(
-            ConjugacyClassInfo(
-                index=i,
-                representative=ctx.element_at(c["rep_index"]),
-                rep_index=c["rep_index"],
-                size=c["size"],
-                centralizer_order=ctx.order // c["size"],
-                element_order=c["element_order"],
-                char_poly=tuple(c["char_poly"]),
-                is_semisimple=c["is_semisimple"],
-                eigenvalue_multiplicities=tuple(tuple(p) for p in c["eig"]),
-            )
+    ctx._class_of = class_of
+    ctx._classes = [
+        ConjugacyClassInfo(
+            index=i,
+            representative=ctx.element_at(rep),
+            rep_index=rep,
+            size=size,
+            centralizer_order=order // size,
+            element_order=elem_order,
+            char_poly=cp,
+            is_semisimple=semisimple,
+            eigenvalue_multiplicities=eig,
         )
-    ctx._classes = classes
+        for i, (rep, size, elem_order, cp, semisimple, eig) in enumerate(rows)
+    ]
     return ctx
 
 

@@ -9,8 +9,6 @@ separately as count / q^dim at the largest sampled q.
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +41,9 @@ def eval_word(w: Word, elements) -> matgrp.MatrixElement:
     return acc
 
 
-def fiber_count(
-    w: Word, ctx: matgrp.GroupContext, target: matgrp.MatrixElement, workers: int = 1
-) -> int:
+def fiber_count(w: Word, ctx: matgrp.GroupContext, target: matgrp.MatrixElement) -> int:
     """Exact #{t in G^d : w(t) = target} by full scan."""
-    hist = homcount.word_histogram(ctx, w, workers=workers)
+    hist = homcount.word_histogram(ctx, w)
     return int(hist[ctx.index_of(target)])
 
 
@@ -75,7 +71,6 @@ def _hom_count_exact(
     n: int,
     q: int,
     seed: int,
-    workers: int,
     cache_dir: str | None,
 ) -> tuple[int, str]:
     """Count homs into kind_n(F_q), preferring closed character formulas."""
@@ -94,7 +89,7 @@ def _hom_count_exact(
             homcount.fs_squares_count(table, m, table.identity_class),
             "character-formula",
         )
-    return homcount.hom_count_bruteforce(pres, ctx, workers=workers), "scan"
+    return homcount.hom_count_bruteforce(pres, ctx), "scan"
 
 
 def dimension_estimate(
@@ -102,7 +97,6 @@ def dimension_estimate(
     family: tuple[str, int],
     qs,
     seed: int = 0,
-    workers: int = 1,
     cache_dir: str | None = None,
 ) -> CountProfile:
     """Fit count ~ c * q^dim over exact counts at each q in the sweep."""
@@ -115,7 +109,7 @@ def dimension_estimate(
     samples = []
     methods = set()
     for q in qs:
-        count, method = _hom_count_exact(pres, kind, n, q, seed, workers, cache_dir)
+        count, method = _hom_count_exact(pres, kind, n, q, seed, cache_dir)
         samples.append((q, count))
         methods.add(method)
     logs_q = np.log([q for q, _ in samples])
@@ -140,39 +134,13 @@ def dimension_estimate(
 # double-word dominance diagnostic
 
 
-def double_word_stats(
-    w1: Word, w2: Word, ctx: matgrp.GroupContext, workers: int = 1
-) -> tuple[int, float]:
+def double_word_stats(w1: Word, w2: Word, ctx: matgrp.GroupContext) -> tuple[int, float]:
     """Size of {(w1(t), w2(t))} over all tuples, and its fraction of |G|^2."""
-    d = max(w1.max_gen, w2.max_gen, 1)
     N = ctx.order
-    if N**d > homcount.TUPLE_BUDGET:
-        raise BudgetExceeded(f"{N}^{d} tuples exceeds budget {homcount.TUPLE_BUDGET}")
-    kern = ScanKernel(ctx)
-    vec = np.arange(N, dtype=np.int64)
-
-    def run_chunk(chunk: np.ndarray) -> np.ndarray:
-        seen = np.zeros(N * N, dtype=bool)
-        if d == 1:
-            v1 = kern.eval_word_vec(w1, [], 1, chunk)
-            v2 = kern.eval_word_vec(w2, [], 1, chunk)
-            seen[v1 * N + v2] = True
-            return seen
-        for head in chunk:
-            for rest in itertools.product(range(N), repeat=d - 2):
-                assign = [int(head), *rest, -1]
-                v1 = kern.eval_word_vec(w1, assign, d, vec)
-                v2 = kern.eval_word_vec(w2, assign, d, vec)
-                seen[v1 * N + v2] = True
-        return seen
-
-    chunks = homcount._prefix_chunks(N, workers)
-    if len(chunks) == 1:
-        seen = run_chunk(chunks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
-            parts = list(ex.map(run_chunk, chunks))
-        seen = np.logical_or.reduce(parts)
+    blocks = homcount._scan_blocks(ctx, [w1, w2], max(w1.max_gen, w2.max_gen, 1))
+    seen = np.zeros(N * N, dtype=bool)
+    for v1, v2 in blocks:
+        seen[v1 * N + v2] = True
     image = int(seen.sum())
     return image, image / float(N) ** 2
 

@@ -56,9 +56,7 @@ def test_criterion_1_oracle_equivalence(group, table):
             if formula != homcount.oracle_surface_count(ctx, g):
                 mismatches.append(f"{name} surface g={g} vs convolution")
             if g == 1 or ctx.order <= SCAN_G2_MAX_ORDER:
-                scan = homcount.hom_count_bruteforce(
-                    homcount.surface_presentation(g), ctx, workers=4
-                )
+                scan = homcount.hom_count_bruteforce(homcount.surface_presentation(g), ctx)
                 if formula != scan:
                     mismatches.append(f"{name} surface g={g} vs scan")
 
@@ -68,9 +66,7 @@ def test_criterion_1_oracle_equivalence(group, table):
             for c in ctx.classes:
                 if homcount.fs_squares_count(t, m, c.index) != hist[c.rep_index]:
                     mismatches.append(f"{name} squares m={m} class {c.index}")
-            scan = homcount.hom_count_bruteforce(
-                homcount.squares_presentation(m), ctx, workers=4
-            )
+            scan = homcount.hom_count_bruteforce(homcount.squares_presentation(m), ctx)
             if homcount.fs_squares_count(t, m, ident_class) != scan:
                 mismatches.append(f"{name} squares m={m} vs scan")
 
@@ -109,9 +105,7 @@ def test_criterion_2_frobenius_fiber_identity(group, table):
         ok = ok and formula == want
         details.append(f"q={q}: {formula}")
         if q == 3:
-            scan = wordmap.fiber_count(
-                homcount.parse_word("[x1,x2]"), ctx, ctx.identity, workers=4
-            )
+            scan = wordmap.fiber_count(homcount.parse_word("[x1,x2]"), ctx, ctx.identity)
             ok = ok and scan == want
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300

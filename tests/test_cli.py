@@ -140,7 +140,7 @@ def test_verify_exit_zero_and_nonzero(capsys, monkeypatch):
     assert doc["result"]["mismatches"] == 0
     assert doc["result"]["checks"] > 100
 
-    def fake_checks(seed, workers, cache):
+    def fake_checks(seed, cache):
         yield ("forced mismatch", 1, 2)
 
     monkeypatch.setattr(cli, "_verify_checks", fake_checks)
@@ -168,3 +168,51 @@ def test_dimension_subcommand(capsys):
     ])
     assert doc["result"]["fitted_dimension"] == pytest.approx(9.341514, abs=1e-5)
     assert doc["result"]["irreducibility_consistent"] is True
+
+
+def _class_id_out_of_range(doc):
+    doc["class_of"][-1] = len(doc["classes"])
+
+
+def _rep_index_out_of_range(doc):
+    doc["classes"][0]["rep_index"] = doc["order"]
+
+
+def _sizes_miss_order(doc):
+    doc["classes"][0]["size"] += 1
+
+
+def _values_not_square(doc):
+    for key in ("values_re", "values_im"):
+        doc[key].pop()
+
+
+# cache file prefix and an edit that keeps the JSON valid but the entry malformed
+CACHE_CORRUPTIONS = {
+    "group-missing-classes": ("group_", lambda doc: doc.pop("classes")),
+    "group-short-class-of": ("group_", lambda doc: doc["class_of"].pop()),
+    "group-class-id-range": ("group_", _class_id_out_of_range),
+    "group-rep-index-range": ("group_", _rep_index_out_of_range),
+    "group-sizes-sum": ("group_", _sizes_miss_order),
+    "table-missing-degrees": ("table_", lambda doc: doc.pop("degrees")),
+    "table-values-shape": ("table_", _values_not_square),
+    "table-short-degrees": ("table_", lambda doc: doc["degrees"].pop()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_CORRUPTIONS))
+def test_malformed_cache_entry_is_a_miss(tmp_path, capsys, name):
+    argv = ["count", "commutator", "--group", "SL2,q=3", "--class-index", "1",
+            "--cache", str(tmp_path)]
+    assert cli.run(argv) == 0
+    cold = capsys.readouterr().out
+    prefix, corrupt = CACHE_CORRUPTIONS[name]
+    for path in tmp_path.glob("*.json"):
+        if not path.name.startswith(prefix):
+            path.unlink()  # so the rerun reads the corrupt entry, not a later one
+    (path,) = tmp_path.glob(prefix + "*.json")
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == cold

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,10 +89,23 @@ def test_word_histogram_matches_naive(group, text):
 def test_word_histogram_worker_invariance(group):
     ctx = group("SL", 2, 3)
     w = parse_word("[x1,x2]")
-    h1 = homcount.word_histogram(ctx, w, workers=1)
-    h3 = homcount.word_histogram(ctx, w, workers=3)
-    assert np.array_equal(h1, h3)
-    assert h1[ctx.identity_index] == 168
+    assert homcount.word_histogram(ctx, w)[ctx.identity_index] == 168
+
+
+def test_block_split_word_histogram_uniform(group):
+    # |G| = 48 puts x2, x3 in each block and leaves x1 a scalar: 48 blocks
+    ctx = group("GL", 2, 3)
+    assert 48**2 <= homcount.SCAN_BLOCK < 48**3
+    hist = homcount.word_histogram(ctx, parse_word("x1 x2 x3"))
+    assert (hist == 48**2).all()
+
+
+def test_block_split_relator_on_scalar_generator(group):
+    # the first relator uses only x1, the scalar generator of each block
+    ctx = group("GL", 2, 3)
+    pres = Presentation(3, ("x1 x1 x1", "[x2,x3]"))
+    cubes = homcount.word_histogram(ctx, parse_word("x1 x1 x1"))[ctx.identity_index]
+    assert homcount.hom_count_bruteforce(pres, ctx) == cubes * ctx.order * len(ctx.classes)
 
 
 def test_empty_word_histogram(group):
@@ -167,6 +181,14 @@ def test_oracle_surface_counts(group):
     assert homcount.oracle_surface_count(ctx, 2) == S3_SURFACE_G2
     ctx3 = group("SL", 2, 3)
     assert homcount.oracle_surface_count(ctx3, 2) == 53376
+
+
+def test_oracle_surface_count_exact_above_int64(group, table):
+    # the genus-6 count of SL_2(F_5) is about 7.4e22, far past int64
+    ctx, t = group("SL", 2, 5), table("SL", 2, 5)
+    want = sum(Fraction(ctx.order**11, d**10) for d in t.degrees)
+    assert want > 2**63
+    assert homcount.oracle_surface_count(ctx, 6) == want
 
 
 def test_oracle_squares_histogram(group):
