@@ -59,23 +59,18 @@ def class_matrices(ctx: matgrp.GroupContext) -> np.ndarray:
     classes = ctx.classes
     k = len(classes)
     cof = ctx.class_of
-    inv_all = ctx.mats[ctx.inv_idx]
+    row = cof * k
+    inv_all = ctx.inv_idx
     A = np.zeros((k, k, k), dtype=np.int64)
     for l, info in enumerate(classes):
-        zl = ctx.mats[info.rep_index]
-        Y = matgrp.vec_matmul(ctx.field, inv_all, zl[None])
-        j = cof[ctx.idx_of_mats(Y)]
-        counts = np.bincount(cof * k + j, minlength=k * k).reshape(k, k)
-        A[:, :, l] = counts
+        j = cof[ctx.mul(inv_all, info.rep_index)]
+        A[:, :, l] = np.bincount(row + j, minlength=k * k).reshape(k, k)
     return A
 
 
 def _squaring_map(ctx: matgrp.GroupContext) -> list[int]:
-    out = []
-    for info in ctx.classes:
-        sq = ctx.mul_idx(info.rep_index, info.rep_index)
-        out.append(int(ctx.class_of[sq]))
-    return out
+    reps = [info.rep_index for info in ctx.classes]
+    return ctx.class_of[ctx.mul(reps, reps)].tolist()
 
 
 def character_table(

@@ -661,6 +661,10 @@ def run(argv=None) -> int:
     except MatgroupsError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except Exception as e:
+        msg = " ".join(str(e).splitlines())
+        sys.stderr.write(f"internal error: {type(e).__name__}: {msg}\n")
+        return 5
 
 
 def main():

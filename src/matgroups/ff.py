@@ -144,7 +144,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 class FieldSpec:
     """A concrete construction of F_{p^m} with a fixed modulus."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_explog", "_digits", "_powers")
+    __slots__ = ("p", "m", "q", "modulus", "_explog", "_digits", "_powers", "_tables")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -154,6 +154,7 @@ class FieldSpec:
         self._explog: tuple | None = None
         self._digits: np.ndarray | None = None
         self._powers: np.ndarray | None = None
+        self._tables: tuple | None = None
 
     def __eq__(self, other):
         return (
@@ -359,6 +360,16 @@ class FieldSpec:
             self._digits = digs
             self._powers = self.p ** np.arange(self.m, dtype=np.int64)
         return self._digits, self._powers
+
+    def arith_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The q x q tables (mul, add) with mul[a, b] = a*b and add[a, b] = a+b."""
+        if self._tables is None:
+            if self.q > 2**8:  # the two tables stay at most 1 MB
+                raise BudgetExceeded(f"arithmetic tables not built for q={self.q}")
+            codes = np.arange(self.q, dtype=np.int64)
+            self._tables = (self.vec_mul(codes[:, None], codes[None, :]),
+                            self.vec_add(codes[:, None], codes[None, :]))
+        return self._tables
 
     def vec_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.m == 1:

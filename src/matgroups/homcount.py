@@ -163,7 +163,7 @@ def recognize_squares_m(pres: Presentation) -> int | None:
 
 
 class ScanKernel:
-    """Index-level composition over a GroupContext, with a Cayley fast path."""
+    """Index-level composition over a GroupContext, with its Cayley table built."""
 
     def __init__(self, ctx: matgrp.GroupContext):
         self.ctx = ctx
@@ -171,14 +171,8 @@ class ScanKernel:
         self.cayley = ctx.cayley
 
     def compose(self, a, b):
-        if self.cayley is not None:
-            out = self.cayley[a, b]
-            return int(out) if np.isscalar(out) or out.ndim == 0 else out
-        scalar = np.isscalar(a) and np.isscalar(b)
-        A = self.ctx.mats[np.atleast_1d(a)]
-        B = self.ctx.mats[np.atleast_1d(b)]
-        idx = self.ctx.idx_of_mats(matgrp.vec_matmul(self.ctx.field, A, B))
-        return int(idx[0]) if scalar else idx
+        out = self.ctx.mul(a, b)
+        return int(out) if np.ndim(out) == 0 else out
 
     def eval_word_vec(self, word: Word, assign: list, vec_gen: int, vec: np.ndarray):
         """Evaluate word at assign (ints or index arrays), with vec for vec_gen."""

@@ -46,12 +46,21 @@ def group_order(kind: str, n: int, q: int) -> int:
 
 
 def vec_matmul(spec: ff.FieldSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Batched matrix product; X, Y have shape (..., n, n) and broadcast."""
+    """Batched matrix product; X, Y have shape (..., n, n) and broadcast.
+
+    Over F_p this is one int64 contraction (exact, as fields stop at 2^20)
+    and one reduction mod p; over F_{p^m} the entry products and their sums
+    are looked up in the field's q x q tables.
+    """
     n = X.shape[-1]
-    acc = None
-    for t in range(n):
-        term = spec.vec_mul(X[..., :, t : t + 1], Y[..., t : t + 1, :])
-        acc = term if acc is None else spec.vec_add(acc, term)
+    if spec.m == 1:
+        return np.matmul(X, Y) % spec.p
+    if n == 1:
+        return spec.vec_mul(X, Y)
+    mul, add = spec.arith_tables()
+    acc = mul[X[..., :, :1], Y[..., :1, :]]
+    for t in range(1, n):
+        acc = add[acc, mul[X[..., :, t : t + 1], Y[..., t : t + 1, :]]]
     return acc
 
 
@@ -318,7 +327,7 @@ class GroupContext:
         return elem
 
     def keys_of(self, mats: np.ndarray) -> np.ndarray:
-        return mats.reshape(mats.shape[0], -1) @ self._powers
+        return mats.reshape(*mats.shape[:-2], self.n * self.n) @ self._powers
 
     def idx_of_mats(self, mats: np.ndarray) -> np.ndarray:
         idx = self._key_to_idx[self.keys_of(mats)]
@@ -348,9 +357,20 @@ class GroupContext:
     def identity(self) -> MatrixElement:
         return self.element_at(self.identity_index)
 
+    def mul(self, a, b):
+        """Indices of the products of elements a and b (broadcasting index arrays).
+
+        This is the one product of group elements: a lookup in the Cayley table
+        once it exists, otherwise one batched matrix product.
+        """
+        if self._cayley is not None:
+            return self._cayley[a, b]
+        X = np.take(self.mats, a, axis=0)
+        Y = np.take(self.mats, b, axis=0)
+        return self.idx_of_mats(vec_matmul(self.field, X, Y))
+
     def mul_idx(self, i: int, j: int) -> int:
-        prod = vec_matmul(self.field, self.mats[i][None], self.mats[j][None])
-        return int(self.idx_of_mats(prod)[0])
+        return int(self.mul(i, j))
 
     @property
     def inv_idx(self) -> np.ndarray:
@@ -363,9 +383,12 @@ class GroupContext:
     def cayley(self) -> np.ndarray | None:
         """The |G| x |G| table of product indices, or None above CAYLEY_LIMIT."""
         if self._cayley is None and self.order <= CAYLEY_LIMIT:
-            cay = np.empty((self.order, self.order), dtype=np.int32)
-            for i in range(self.order):
-                cay[i] = self.idx_of_mats(vec_matmul(self.field, self.mats[i][None], self.mats))
+            N = self.order
+            cay = np.empty((N, N), dtype=np.int32)
+            rows = max(1, 2**13 // N)  # products per block stay at most 2^13
+            cols = np.arange(N)
+            for i in range(0, N, rows):
+                cay[i : i + rows] = self.mul(np.arange(i, min(i + rows, N))[:, None], cols)
             self._cayley = cay
         return self._cayley
 
@@ -409,78 +432,62 @@ class GroupContext:
             gens.append(MatrixElement(spec, n, codes))
         return sorted({self.index_of(g) for g in gens})
 
+    def element_orders(self, idx) -> np.ndarray:
+        """Multiplicative orders of the elements idx, by repeated products."""
+        base = np.asarray(idx, dtype=np.int64)
+        cur = base.copy()
+        orders = np.ones(len(base), dtype=np.int64)
+        live = np.flatnonzero(cur != self.identity_index)
+        while live.size:
+            cur[live] = self.mul(cur[live], base[live])
+            orders[live] += 1
+            live = live[cur[live] != self.identity_index]
+        return orders
+
     def element_order_of_idx(self, idx: int) -> int:
-        order = 1
-        cur = idx
-        while cur != self.identity_index:
-            cur = self.mul_idx(cur, idx)
-            order += 1
-        return order
+        return int(self.element_orders([idx])[0])
+
+    def _orbit_labels(self) -> np.ndarray:
+        """The smallest element index in each element's conjugacy class.
+
+        Each generator g gives the permutation x -> g^-1 x g of G.  Every
+        label takes the minimum of its own and its image's label until nothing
+        changes; a permutation's cycles carry the minimum all the way round, so
+        the inverse permutations are not needed.
+        """
+        gen_idx = np.array(self._generator_indices(), dtype=np.int64)
+        gen_inv = self.idx_of_mats(vec_mat_inv(self.field, self.mats[gen_idx]))
+        all_idx = np.arange(self.order, dtype=np.int64)
+        perms = [self.mul(self.mul(ginv, all_idx), g) for g, ginv in zip(gen_idx, gen_inv)]
+        label = all_idx
+        while True:
+            before = label.copy()
+            for perm in perms:
+                np.minimum(label, label[perm], out=label)
+            if np.array_equal(label, before):
+                return label
 
     def _compute_classes(self):
-        spec = self.field
-        N = self.order
-        gen_idx = self._generator_indices()
-        gen_mats = [self.mats[i] for i in gen_idx]
-        gen_invs = [vec_mat_inv(spec, g[None])[0] for g in gen_mats]
-
-        class_of = np.full(N, -1, dtype=np.int32)
-        raw: list[tuple[int, int]] = []  # (min element index, size)
-        cid = 0
-        for start in range(N):
-            if class_of[start] >= 0:
-                continue
-            class_of[start] = cid
-            frontier = np.array([start], dtype=np.int64)
-            size = 1
-            while frontier.size:
-                F = self.mats[frontier]
-                new = []
-                for g, ginv in zip(gen_mats, gen_invs):
-                    conj = vec_matmul(spec, vec_matmul(spec, ginv[None], F), g[None])
-                    idx = self.idx_of_mats(conj)
-                    fresh = np.unique(idx[class_of[idx] < 0])
-                    if fresh.size:
-                        class_of[fresh] = cid
-                        new.append(fresh)
-                frontier = (
-                    np.unique(np.concatenate(new)) if new else np.array([], dtype=np.int64)
-                )
-                size += frontier.size
-            raw.append((start, size))
-            cid += 1
-
-        infos = []
-        for old_cid, (rep_idx, size) in enumerate(raw):
-            rep = self.element_at(rep_idx)
-            cp = char_poly(rep)
-            infos.append(
-                dict(
-                    old_cid=old_cid,
-                    rep_idx=rep_idx,
-                    size=size,
-                    element_order=self.element_order_of_idx(rep_idx),
-                    char_poly=cp,
-                    is_semisimple=is_semisimple_matrix(rep),
-                    eig=eigenvalue_multiplicities(rep),
-                )
-            )
-        infos.sort(key=lambda d: (d["element_order"], d["size"], d["rep_idx"]))
-        remap = np.zeros(len(infos), dtype=np.int32)
+        label = self._orbit_labels()
+        reps, class_of, sizes = np.unique(label, return_inverse=True, return_counts=True)
+        reps, sizes, orders = reps.tolist(), sizes.tolist(), self.element_orders(reps).tolist()
+        by_key = sorted(range(len(reps)), key=lambda c: (orders[c], sizes[c], reps[c]))
+        remap = np.empty(len(reps), dtype=np.int32)
+        remap[by_key] = np.arange(len(reps), dtype=np.int32)
         classes = []
-        for new_cid, d in enumerate(infos):
-            remap[d["old_cid"]] = new_cid
+        for new_cid, c in enumerate(by_key):
+            rep = self.element_at(reps[c])
             classes.append(
                 ConjugacyClassInfo(
                     index=new_cid,
-                    representative=self.element_at(d["rep_idx"]),
-                    rep_index=d["rep_idx"],
-                    size=d["size"],
-                    centralizer_order=self.order // d["size"],
-                    element_order=d["element_order"],
-                    char_poly=d["char_poly"],
-                    is_semisimple=d["is_semisimple"],
-                    eigenvalue_multiplicities=d["eig"],
+                    representative=rep,
+                    rep_index=reps[c],
+                    size=sizes[c],
+                    centralizer_order=self.order // sizes[c],
+                    element_order=orders[c],
+                    char_poly=char_poly(rep),
+                    is_semisimple=is_semisimple_matrix(rep),
+                    eigenvalue_multiplicities=eigenvalue_multiplicities(rep),
                 )
             )
         self._class_of = remap[class_of]
@@ -523,11 +530,9 @@ def conjugacy_classes(ctx: GroupContext) -> list[ConjugacyClassInfo]:
 
 def centralizer_order(ctx: GroupContext, x: MatrixElement) -> int:
     """Size of the centralizer of x, by scanning all group elements."""
-    ctx.index_of(x)
-    xa = x.as_array()
-    left = vec_matmul(ctx.field, ctx.mats, xa[None])
-    right = vec_matmul(ctx.field, xa[None], ctx.mats)
-    return int(np.count_nonzero((left == right).all(axis=(1, 2))))
+    xi = ctx.index_of(x)
+    all_idx = np.arange(ctx.order)
+    return int(np.count_nonzero(ctx.mul(all_idx, xi) == ctx.mul(xi, all_idx)))
 
 
 def semisimple_class_from_charpoly(ctx: GroupContext, coeffs) -> ConjugacyClassInfo:

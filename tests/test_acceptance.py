@@ -224,7 +224,7 @@ def test_criterion_8_commutative_transitivity(group):
     cay = np.empty((N, N), dtype=np.int64)
     for i in range(N):
         for j in range(N):
-            cay[i, j] = ctx.mul_idx(i, j)
+            cay[i, j] = ctx.index_of(ctx.element_at(i) @ ctx.element_at(j))
     inv = ctx.inv_idx
     comm = cay[cay[cay, inv[:, None]], inv[None, :]]
     ident = ctx.identity_index

@@ -104,7 +104,7 @@ def test_class_matrices_against_direct_count(group):
                 direct = 0
                 for u in np.nonzero(cof == i)[0]:
                     for v in np.nonzero(cof == j)[0]:
-                        if ctx.mul_idx(int(u), int(v)) == cl.rep_index:
+                        if ctx.index_of(ctx.element_at(u) @ ctx.element_at(v)) == cl.rep_index:
                             direct += 1
                 assert A[i, j, l] == direct
 

@@ -134,6 +134,17 @@ def test_certificate_errors_exit_4(capsys, monkeypatch):
     assert "certificate" in capsys.readouterr().err
 
 
+def test_unexpected_errors_exit_5(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("forced\nfor the exit-code contract")
+
+    monkeypatch.setattr(cli, "_cmd_group", crash)
+    assert cli.run(["group", "--group", "SL2,q=3"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: forced for the exit-code contract\n"
+
+
 def test_verify_exit_zero_and_nonzero(capsys, monkeypatch):
     assert cli.run(["verify"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -171,7 +171,7 @@ def test_element_convolution_matches_naive(group):
     naive = np.zeros(ctx.order, dtype=np.int64)
     for u in range(ctx.order):
         for v in range(ctx.order):
-            naive[ctx.mul_idx(u, v)] += f[u] * g[v]
+            naive[ctx.index_of(ctx.element_at(u) @ ctx.element_at(v))] += f[u] * g[v]
     assert np.array_equal(conv, naive)
 
 

@@ -26,6 +26,82 @@ KNOWN_SHAPES = {
 }
 
 
+KERNEL_QS = (2, 3, 43, 4, 8, 32, 9, 25, 27)
+# a group of n x n matrices over each field that fits the enumeration budgets
+KERNEL_GROUPS = (
+    [("GL", 1, q) for q in KERNEL_QS]
+    + [("SL", 2, q) for q in KERNEL_QS]
+    + [("SL", 3, q) for q in (2, 3, 4)]
+)
+
+
+def _scalar_products(field, X, Y):
+    """Products of two broadcasting matrix batches, one MatrixElement.__matmul__ each."""
+    n = X.shape[-1]
+    X, Y = np.broadcast_arrays(X, Y)
+    out = []
+    for x, y in zip(X.reshape(-1, n * n), Y.reshape(-1, n * n)):
+        prod = matgrp.MatrixElement(field, n, x) @ matgrp.MatrixElement(field, n, y)
+        out.append(prod.codes)
+    return np.array(out, dtype=np.int64).reshape(X.shape)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_vec_matmul_matches_scalar_product(n, q):
+    f = ff.field_make_q(q)
+    rng = np.random.default_rng(q * 10 + n)
+    X = rng.integers(0, q, (40, n, n))
+    Y = rng.integers(0, q, (40, n, n))
+    assert np.array_equal(matgrp.vec_matmul(f, X, Y), _scalar_products(f, X, Y))
+    # r x 1 against 1 x N, and one matrix against N
+    R = matgrp.vec_matmul(f, X[:5, None], Y[None, :7])
+    assert R.shape == (5, 7, n, n)
+    assert np.array_equal(R, _scalar_products(f, X[:5, None], Y[None, :7]))
+    assert np.array_equal(matgrp.vec_matmul(f, X[0], Y), _scalar_products(f, X[0], Y))
+
+
+def _check_mul(ctx, a, b):
+    out = ctx.mul(a, b)
+    a, b = np.broadcast_arrays(a, b)
+    assert out.shape == a.shape
+    want = [ctx.index_of(ctx.element_at(u) @ ctx.element_at(v)) for u, v in zip(a.flat, b.flat)]
+    assert out.reshape(-1).tolist() == want
+
+
+@pytest.mark.parametrize("kind,n,q", KERNEL_GROUPS)
+def test_group_mul_matches_scalar_product(kind, n, q):
+    ctx = matgrp.group_build_uncached(kind, n, ff.field_make_q(q))  # no Cayley table yet
+    rng = np.random.default_rng(ctx.order)
+    a = rng.integers(0, ctx.order, 60)
+    b = rng.integers(0, ctx.order, 60)
+    for _ in range(2):  # by matrix products, then by the Cayley table where one is kept
+        _check_mul(ctx, a, b)
+        _check_mul(ctx, a[:6, None], b[None, :9])
+        _check_mul(ctx, int(a[0]), b)
+        assert ctx.mul_idx(int(a[1]), int(b[1])) == ctx.index_of(
+            ctx.element_at(a[1]) @ ctx.element_at(b[1]))
+        if ctx.cayley is None:
+            break
+
+
+@pytest.mark.parametrize("kind,n,q", [("GL", 2, 4), ("SL", 2, 9), ("GL", 3, 2)])
+def test_class_orbits_match_bruteforce_conjugation(group, kind, n, q):
+    ctx = group(kind, n, q)
+    elems = [ctx.element_at(i) for i in range(ctx.order)]
+    invs = [matgrp.mat_inv(g) for g in elems]
+    seen: set[int] = set()
+    orbits = []
+    for x in range(ctx.order):
+        if x not in seen:
+            orbit = {ctx.index_of(g @ elems[x] @ gi) for g, gi in zip(elems, invs)}
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    classes = [np.flatnonzero(ctx.class_of == c.index).tolist() for c in ctx.classes]
+    assert sorted(classes) == sorted(orbits)
+    assert [c.rep_index for c in ctx.classes] == [cl[0] for cl in classes]
+
+
 def test_group_order_formula():
     assert matgrp.group_order("GL", 2, 3) == 48
     assert matgrp.group_order("SL", 2, 3) == 24
@@ -116,7 +192,7 @@ def test_inverse_index_array(group):
     ctx = group("SL", 2, 3)
     inv = ctx.inv_idx
     for i in range(ctx.order):
-        assert ctx.mul_idx(i, int(inv[i])) == ctx.identity_index
+        assert ctx.index_of(ctx.element_at(i) @ ctx.element_at(inv[i])) == ctx.identity_index
 
 
 def test_determinant_constraint(group):
