@@ -1,8 +1,13 @@
 """Finite matrix groups SL_n(F_q) and GL_n(F_q).
 
 A GroupContext holds the full element list (budget 10^5 elements) as a
-numpy array of field codes plus lookup structures; conjugacy classes are
-computed by orbit search under conjugation by a fixed generating set.
+numpy array of field codes, in ascending order of key sum_i codes[i] q^i,
+plus lookup structures.  The elements are enumerated directly: for every
+choice of the first n-1 rows with a nonzero cofactor vector c, the
+determinant r . c is linear in the last row r, so each target determinant
+and each choice of all but one coordinate of r fixes the last coordinate.
+Conjugacy classes are the orbits of the conjugation permutations of a fixed
+generating set.
 """
 
 from __future__ import annotations
@@ -622,7 +627,8 @@ def _cache_load(kind: str, n: int, field: ff.FieldSpec, cache_dir: str) -> Group
         class_of.shape != (order,)
         or ((class_of < 0) | (class_of >= len(rows))).any()
         or sum(size for _, size, *_ in rows) != order
-        or not all(0 <= rep < order and size > 0 for rep, size, *_ in rows)
+        or not all(0 <= rep < order and size > 0 and _class_data_ok(n, field.q, *data)
+                   for rep, size, *data in rows)
     ):
         return None
     # elements are regenerated; the cache stores only class structure
@@ -646,23 +652,81 @@ def _cache_load(kind: str, n: int, field: ff.FieldSpec, cache_dir: str) -> Group
     return ctx
 
 
+def _class_data_ok(n: int, q: int, elem_order, cp, semisimple, eig) -> bool:
+    """Whether one cached class's order, char poly, semisimplicity and eig are well formed."""
+    return (
+        elem_order >= 1
+        and len(cp) == n + 1
+        and cp[-1] == 1
+        and all(type(c) is int and 0 <= c < q for c in cp)
+        and type(semisimple) is bool
+        and len(eig) > 0
+        and all(len(pair) == 2 and all(type(v) is int for v in pair) for pair in eig)
+    )
+
+
 def group_build_uncached(kind: str, n: int, field: ff.FieldSpec) -> GroupContext:
+    """All elements of SL_n/GL_n(F_q), in ascending order of key sum_i codes[i] q^i."""
     q = field.q
     order = group_order(kind, n, q)
     if order > ORDER_BUDGET:
         raise BudgetExceeded(f"|{kind}_{n}(F_{q})| = {order} exceeds {ORDER_BUDGET}")
     space = q ** (n * n)
-    if space > 2**24:
+    if space > 2**24:  # GroupContext keeps a key -> index table of this size
         raise BudgetExceeded(f"enumeration space q^(n^2) = {space} too large")
-    codes = np.arange(space, dtype=np.int64)
-    digits = np.empty((space, n * n), dtype=np.int64)
-    for i in range(n * n):
-        digits[:, i] = codes % q
-        codes //= q
-    X = digits.reshape(space, n, n)
-    det = vec_det(field, X)
-    mask = det == 1 if kind == "SL" else det != 0
-    mats = np.ascontiguousarray(X[mask])
+    dets = np.ones(1, dtype=np.int64) if kind == "SL" else np.arange(1, q, dtype=np.int64)
+    mats = dets[:, None, None] if n == 1 else _solve_last_row(field, n, dets)
+    keys = mats.reshape(len(mats), -1) @ (q ** np.arange(n * n, dtype=np.int64))
+    by_key = np.argsort(keys)
+    mats, keys = mats[by_key], keys[by_key]
+    # |G| distinct matrices, each with a determinant of the group: the whole group
     if len(mats) != order:
         raise AssertionError(f"enumerated {len(mats)} elements, expected {order}")
+    if not (np.diff(keys) > 0).all():
+        raise AssertionError("enumerated a matrix twice")
     return GroupContext(kind, n, field, mats)
+
+
+def _solve_last_row(spec: ff.FieldSpec, n: int, dets: np.ndarray) -> np.ndarray:
+    """All n x n matrices (n >= 2) whose determinant is in dets, in no set order.
+
+    Expanded along the last row r, det = r . c is linear in r, where c is the
+    cofactor vector of the first n-1 rows.  For every choice of those rows with
+    c != 0, let j be the first index with c_j != 0; each choice of the other n-1
+    coordinates of r and each target t then gives exactly one
+    r_j = (t - sum_{i != j} r_i c_i) / c_j.
+    """
+    q = spec.q
+    prefixes = _all_vectors(q, n * (n - 1)).reshape(-1, n - 1, n)
+    cols = [[c for c in range(n) if c != j] for j in range(n)]
+    cof = vec_det(spec, prefixes[:, :, cols].swapaxes(1, 2))  # minors, (prefix, j)
+    cof[:, n % 2 :: 2] = spec.vec_neg(cof[:, n % 2 :: 2])  # signs (-1)^(n-1+j)
+    keep = cof.any(axis=1)
+    prefixes, cof = prefixes[keep], cof[keep]
+    pivot = (cof != 0).argmax(axis=1)
+    free = _all_vectors(q, n - 1)
+    blocks = []
+    for j in range(n):
+        P, c = prefixes[pivot == j], cof[pivot == j]
+        others = cols[j]
+        dot = np.zeros((len(P), len(free)), dtype=np.int64)
+        for k, i in enumerate(others):
+            dot = spec.vec_add(dot, spec.vec_mul(c[:, i, None], free[None, :, k]))
+        r_j = spec.vec_mul(spec.vec_add(dets[:, None, None], spec.vec_neg(dot)),
+                           spec.vec_inv(c[:, j])[:, None])  # (target, prefix, free)
+        X = np.empty(r_j.shape + (n, n), dtype=np.int64)
+        X[..., : n - 1, :] = P[:, None]
+        X[..., n - 1, others] = free
+        X[..., n - 1, j] = r_j
+        blocks.append(X.reshape(-1, n, n))
+    return np.concatenate(blocks)
+
+
+def _all_vectors(q: int, k: int) -> np.ndarray:
+    """All q^k vectors of k codes, row v at index sum_i v_i q^i."""
+    codes = np.arange(q**k, dtype=np.int64)
+    out = np.empty((q**k, k), dtype=np.int64)
+    for i in range(k):
+        out[:, i] = codes % q
+        codes //= q
+    return out

@@ -193,6 +193,12 @@ def _sizes_miss_order(doc):
     doc["classes"][0]["size"] += 1
 
 
+def _set_class_field(key, value):
+    def corrupt(doc):
+        doc["classes"][0][key] = value
+    return corrupt
+
+
 def _values_not_square(doc):
     for key in ("values_re", "values_im"):
         doc[key].pop()
@@ -205,6 +211,9 @@ CACHE_CORRUPTIONS = {
     "group-class-id-range": ("group_", _class_id_out_of_range),
     "group-rep-index-range": ("group_", _rep_index_out_of_range),
     "group-sizes-sum": ("group_", _sizes_miss_order),
+    "group-element-order-zero": ("group_", _set_class_field("element_order", 0)),
+    "group-char-poly-codes": ("group_", _set_class_field("char_poly", [7, 7])),
+    "group-eig-empty": ("group_", _set_class_field("eig", [])),
     "table-missing-degrees": ("table_", lambda doc: doc.pop("degrees")),
     "table-values-shape": ("table_", _values_not_square),
     "table-short-degrees": ("table_", lambda doc: doc["degrees"].pop()),
@@ -213,10 +222,15 @@ CACHE_CORRUPTIONS = {
 
 @pytest.mark.parametrize("name", sorted(CACHE_CORRUPTIONS))
 def test_malformed_cache_entry_is_a_miss(tmp_path, capsys, name):
-    argv = ["count", "commutator", "--group", "SL2,q=3", "--class-index", "1",
-            "--cache", str(tmp_path)]
-    assert cli.run(argv) == 0
-    cold = capsys.readouterr().out
+    # `group` prints every per-class field; `count` reads the character table
+    commands = [
+        ["count", "commutator", "--group", "SL2,q=3", "--class-index", "1"],
+        ["group", "--group", "SL2,q=3"],
+    ]
+    cold = []
+    for argv in commands:
+        assert cli.run(argv + ["--cache", str(tmp_path)]) == 0
+        cold.append(capsys.readouterr().out)
     prefix, corrupt = CACHE_CORRUPTIONS[name]
     for path in tmp_path.glob("*.json"):
         if not path.name.startswith(prefix):
@@ -225,5 +239,6 @@ def test_malformed_cache_entry_is_a_miss(tmp_path, capsys, name):
     doc = json.loads(path.read_text())
     corrupt(doc)
     path.write_text(json.dumps(doc))
-    assert cli.run(argv) == 0
-    assert capsys.readouterr().out == cold
+    for argv, out in reversed(list(zip(commands, cold))):  # `group` first reads the group entry
+        assert cli.run(argv + ["--cache", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == out

@@ -1,5 +1,7 @@
 """Group enumeration, conjugacy classes, and matrix element arithmetic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,52 @@ def test_group_order_formula():
     assert matgrp.group_order("SL", 2, 3) == 24
     assert matgrp.group_order("GL", 3, 2) == 168
     assert matgrp.group_order("SL", 3, 3) == 5616
+
+
+# (kind, n, q) for n = 1..4 over prime and extension fields, within the order budget
+ENUMERATION_CASES = [
+    (kind, n, q)
+    for kind in ("SL", "GL")
+    for n, qs in ((1, (2, 7, 8, 9)), (2, (2, 3, 4, 5, 8, 9, 25)), (3, (2, 3)), (4, (2,)))
+    for q in qs
+    if matgrp.group_order(kind, n, q) <= matgrp.ORDER_BUDGET
+]
+
+
+def _candidate_scan(kind, n, field):
+    """All q^(n^2) matrices in ascending key order, kept when their determinant fits."""
+    q = field.q
+    codes = np.arange(q ** (n * n), dtype=np.int64)
+    X = np.stack([codes // q**i % q for i in range(n * n)], axis=-1).reshape(-1, n, n)
+    det = matgrp.vec_det(field, X)
+    return X[det == 1] if kind == "SL" else X[det != 0]
+
+
+@pytest.mark.parametrize("kind,n,q", ENUMERATION_CASES)
+def test_enumeration_matches_candidate_scan(kind, n, q):
+    f = ff.field_make_q(q)
+    mats = matgrp.group_build_uncached(kind, n, f).mats
+    assert mats.dtype == np.int64
+    assert np.array_equal(mats, _candidate_scan(kind, n, f))
+
+
+def test_enumeration_of_a_large_gl1():
+    # every nonzero code of F_{2^16}, the largest power-of-two field within the order budget
+    ctx = matgrp.group_build_uncached("GL", 1, ff.field_make(2, 16))
+    assert ctx.order == 2**16 - 1
+    assert np.array_equal(ctx.mats.reshape(-1), np.arange(1, 2**16))
+
+
+def test_enumeration_memory_stays_near_the_group_size():
+    # SL_2(F_43) has 79,464 elements among 3.4M candidate matrices
+    f = ff.field_make(43)
+    tracemalloc.start()
+    try:
+        matgrp.group_build_uncached("SL", 2, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 @pytest.mark.parametrize("kind,n,q", sorted(KNOWN_SHAPES))
