@@ -53,10 +53,21 @@ def fixed_subspace_count(T: matgrp.MatrixElement, s: int) -> int:
     for a degree-b factor with multiplicity a is an a-dimensional space over
     F_{q^b}, contributing G(a, w)(F_{q^b}) choices of F_q-dimension b*w.
     """
+    _check_dimension(T, s)
+    return _subspace_count(_isotypic_pairs(T), s, _gaussian_weight(T.field.q))
+
+
+def _check_dimension(T: matgrp.MatrixElement, s: int):
     if not isinstance(s, int) or not 0 <= s <= T.n:
         raise BadRange(f"subspace dimension must lie in [0, {T.n}]")
-    pairs = _isotypic_pairs(T)
-    q = T.field.q
+
+
+def _gaussian_weight(q: int):
+    return lambda b, a, w: gaussian_binomial(a, w, q**b)
+
+
+def _subspace_count(pairs, s: int, weight) -> int:
+    """Sum over w_i in [0, a_i] with sum b_i w_i = s of prod weight(b_i, a_i, w_i)."""
     ways = {0: 1}
     for b, a in pairs:
         nxt: dict[int, int] = {}
@@ -65,21 +76,7 @@ def fixed_subspace_count(T: matgrp.MatrixElement, s: int) -> int:
                 dim = acc + b * w
                 if dim > s:
                     break
-                nxt[dim] = nxt.get(dim, 0) + cnt * gaussian_binomial(a, w, q**b)
-        ways = nxt
-    return ways.get(s, 0)
-
-
-def _dimension_vector_count(pairs, s: int) -> int:
-    ways = {0: 1}
-    for b, a in pairs:
-        nxt: dict[int, int] = {}
-        for acc, cnt in ways.items():
-            for w in range(a + 1):
-                dim = acc + b * w
-                if dim > s:
-                    break
-                nxt[dim] = nxt.get(dim, 0) + cnt
+                nxt[dim] = nxt.get(dim, 0) + cnt * weight(b, a, w)
         ways = nxt
     return ways.get(s, 0)
 
@@ -98,11 +95,12 @@ def fixed_subspace_bound_check(T: matgrp.MatrixElement, s: int) -> FixedSubspace
     number of admissible dimension vectors plus one per isotypic factor,
     covering the constant in each Gaussian-binomial estimate.
     """
-    count = fixed_subspace_count(T, s)
+    _check_dimension(T, s)
     pairs = _isotypic_pairs(T)
     q = T.field.q
+    count = _subspace_count(pairs, s, _gaussian_weight(q))
     m = max(mult for _, mult in pairs)
-    nvec = _dimension_vector_count(pairs, s)
+    nvec = _subspace_count(pairs, s, lambda b, a, w: 1)
     bound = m * s + math.log(max(nvec, 1), q) + SLACK_PER_FACTOR * len(pairs)
     exponent = math.log(count, q) if count > 0 else -math.inf
     return FixedSubspaceBound(count, exponent, bound, exponent <= bound + 1e-9)

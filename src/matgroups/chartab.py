@@ -261,4 +261,10 @@ def _cache_load(ctx: matgrp.GroupContext, seed: int, cache_dir: str) -> Characte
         return None
     if values.shape != (k, k) or len(table.degrees) != k or len(table.fs_indicators) != k:
         return None
+    # exact counts divide |G| by the degrees, so a loaded table must certify them too
+    degs = table.degrees
+    if any(type(d) is not int or d < 1 or ctx.order % d for d in degs):
+        return None
+    if sum(d * d for d in degs) != ctx.order:
+        return None
     return table

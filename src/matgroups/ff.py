@@ -8,7 +8,6 @@ and code 1 is one in every field.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -42,98 +41,6 @@ def is_prime(p: int) -> bool:
         if p % d == 0:
             return False
         d += 2
-    return True
-
-
-# ---------------------------------------------------------------------------
-# dense polynomial arithmetic over F_p (coefficient lists of ints mod p)
-
-
-def _ptrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _padd(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % p
-    return _ptrim(out)
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    a = list(a)
-    binv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        coef = (a[-1] * binv) % p
-        q[shift] = coef
-        for i, bv in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * bv) % p
-        _ptrim(a)
-    return _ptrim(q), a
-
-
-def _pmod(a: list[int], b: list[int], p: int) -> list[int]:
-    return _pdivmod(a, b, p)[1]
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _ppow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Check irreducibility of monic f over F_p.
-
-    f is irreducible of degree m iff gcd(f, x^(p^i) - x) is constant for
-    every i <= m/2; the i-th gcd picks up any factor of degree dividing i.
-    """
-    m = len(f) - 1
-    if m <= 0:
-        return False
-    if m == 1:
-        return True
-    t = [0, 1]
-    for i in range(1, m // 2 + 1):
-        t = _ppow_mod(t, p, f, p)
-        g = _pgcd(f, _padd(t, [0, p - 1], p), p)
-        if len(g) - 1 > 0:
-            return False
     return True
 
 
@@ -250,12 +157,9 @@ class FieldSpec:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        prod = _pmod(
-            _pmul(list(self.code_to_coeffs(a)), list(self.code_to_coeffs(b)), self.p),
-            list(self.modulus),
-            self.p,
-        )
-        return self.coeffs_to_code(prod)
+        fp = _prime_field(self.p)
+        prod = poly_mul(fp, self.code_to_coeffs(a), self.code_to_coeffs(b))
+        return self.coeffs_to_code(poly_mod(fp, prod, self.modulus))
 
     def _pow_direct(self, a: int, e: int) -> int:
         result = 1
@@ -289,17 +193,16 @@ class FieldSpec:
         if self._explog is not None:
             exp, log = self._explog
             return int(exp[(self.q - 1 - int(log[a])) % (self.q - 1)])
-        # extended euclid in F_p[x]
-        p = self.p
-        r0, r1 = _ptrim(list(self.modulus)), _ptrim(list(self.code_to_coeffs(a)))
-        s0, s1 = [], [1]
+        # extended euclid in F_p[x]; s tracks the coefficient of a, and the
+        # last nonzero remainder r0 is a constant since the modulus is irreducible
+        fp = _prime_field(self.p)
+        r0, r1 = self.modulus, poly_trim(self.code_to_coeffs(a))
+        s0, s1 = (), (1,)
         while r1:
-            q, r = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _padd(s0, [(-c) % p for c in _pmul(q, s1, p)], p)
-        lead_inv = pow(r0[-1], -1, p)
-        s0 = [(c * lead_inv) % p for c in s0]
-        return self.coeffs_to_code(_pmod(s0, list(self.modulus), p))
+            quo, rem = poly_divmod(fp, r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, poly_sub(fp, s0, poly_mul(fp, quo, s1))
+        return self.coeffs_to_code(poly_mul(fp, s0, (fp.inv_code(r0[0]),)))
 
     def pow_code(self, a: int, e: int) -> int:
         if e < 0:
@@ -506,18 +409,19 @@ def field_make(p: int, m: int = 1) -> FieldSpec:
         raise BadRange("m must be >= 1")
     if p**m > ORDER_BUDGET:
         raise BudgetExceeded(f"field order {p}^{m} exceeds 2^20")
+    fp = _prime_field(p)
     if m == 1:
-        return FieldSpec(p, 1, (0, 1))
-    for code in range(p**m):
-        coeffs = []
-        c = code
-        for _ in range(m):
-            coeffs.append(c % p)
-            c //= p
-        f = coeffs + [1]
-        if _is_irreducible(f, p):
-            return FieldSpec(p, m, tuple(f))
+        return fp
+    for f in _monic_polys(fp, m):
+        if poly_is_irreducible(fp, f):
+            return FieldSpec(p, m, f)
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+@lru_cache(maxsize=None)
+def _prime_field(p: int) -> FieldSpec:
+    """F_p, shared: the coefficient field of every F_{p^m}."""
+    return FieldSpec(p, 1, (0, 1))
 
 
 def field_arith(a: FieldElement, b, op: str) -> FieldElement:
@@ -633,8 +537,10 @@ def poly_divmod(spec: FieldSpec, f, g) -> tuple[tuple[int, ...], tuple[int, ...]
         shift = len(f) - 1 - dg
         coef = spec.mul_code(f[-1], ginv)
         q[shift] = coef
+        neg = spec.neg_code(coef)
         for i, gv in enumerate(g):
-            f[shift + i] = spec.sub_code(f[shift + i], spec.mul_code(coef, gv))
+            if gv:
+                f[shift + i] = spec.add_code(f[shift + i], spec.mul_code(neg, gv))
         while f and f[-1] == 0:
             f.pop()
     return poly_trim(q), poly_trim(f)
@@ -644,14 +550,23 @@ def poly_mod(spec: FieldSpec, f, g):
     return poly_divmod(spec, f, g)[1]
 
 
+def poly_pow_mod(spec: FieldSpec, f, e: int, mod) -> tuple[int, ...]:
+    """f^e mod `mod` for e >= 0, by square-and-multiply."""
+    result = poly_mod(spec, (1,), mod)
+    base = poly_mod(spec, f, mod)
+    while e:
+        if e & 1:
+            result = poly_mod(spec, poly_mul(spec, result, base), mod)
+        base = poly_mod(spec, poly_mul(spec, base, base), mod)
+        e >>= 1
+    return result
+
+
 def poly_gcd(spec: FieldSpec, f, g) -> tuple[int, ...]:
     f, g = poly_trim(f), poly_trim(g)
     while g:
         f, g = g, poly_mod(spec, f, g)
-    if f:
-        inv = spec.inv_code(f[-1])
-        f = tuple(spec.mul_code(c, inv) for c in f)
-    return f
+    return poly_monic(spec, f)
 
 
 def poly_derivative(spec: FieldSpec, f) -> tuple[int, ...]:
@@ -733,9 +648,22 @@ def poly_factor(spec: FieldSpec, f) -> list[tuple[tuple[int, ...], int]]:
 
 
 def poly_is_irreducible(spec: FieldSpec, f) -> bool:
-    f = poly_trim(f)
-    fac = poly_factor(spec, f)
-    return len(fac) == 1 and fac[0][1] == 1 and len(fac[0][0]) == len(f)
+    """Whether f is irreducible over F_q, by the gcd test.
+
+    A monic f of degree m is irreducible iff gcd(f, x^(q^i) - x) = 1 for
+    every i <= m/2; the i-th gcd picks up every factor of degree dividing i.
+    """
+    f = poly_monic(spec, f)
+    m = len(f) - 1
+    if m <= 0:
+        return False
+    x = (0, 1)
+    t = x
+    for _ in range(m // 2):
+        t = poly_pow_mod(spec, t, spec.q, f)
+        if len(poly_gcd(spec, f, poly_sub(spec, t, x))) > 1:
+            return False
+    return True
 
 
 def poly_str(f, var: str = "x") -> str:

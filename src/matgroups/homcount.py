@@ -391,12 +391,15 @@ def commutator_count(table: chartab.CharacterTable, h) -> int:
 
 
 def surface_hom_count(table: chartab.CharacterTable, genus: int) -> int:
-    """|Hom(pi_1(Sigma_genus), G)| = |G|^(2g-1) sum chi(1)^(2-2g)."""
+    """|Hom(pi_1(Sigma_genus), G)| = |G|^(2g-1) sum chi(1)^(2-2g).
+
+    Summed exactly as |G| sum (|G|/chi(1))^(2g-2) in Python ints; the table
+    certifies that every degree divides |G|.
+    """
     if genus < 1:
         raise BadRange("genus must be >= 1")
-    degs = np.array(table.degrees, dtype=np.float64)
-    total = float(table.order) ** (2 * genus - 1) * np.sum(degs ** (2 - 2 * genus))
-    return _round_certified(total)
+    order = table.order
+    return order * sum((order // d) ** (2 * genus - 2) for d in table.degrees)
 
 
 def fs_squares_count(table: chartab.CharacterTable, m: int, h) -> int:

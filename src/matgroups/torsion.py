@@ -40,15 +40,15 @@ def mu3(ell: int) -> tuple[int, int, int]:
 
 
 def contains_affine_mu3(ell: int, subset) -> bool:
-    """Whether some t*mu3 + c with t != 0 is contained in the subset."""
-    s = frozenset(subset)
-    base = mu3(ell)
-    for t in range(1, ell):
-        scaled = [t * u % ell for u in base]
-        for c in range(ell):
-            if all((v + c) % ell in s for v in scaled):
-                return True
-    return False
+    """Whether some t*mu3 + c with t != 0 is contained in the subset.
+
+    Two points fix such a triple: with a = c + t and b = c + t*w for a
+    primitive cube root w, the third point c + t*w^2 is a + (b - a)(w + 1).
+    Entries outside [0, ell) never belong to a triple.
+    """
+    s = {x for x in subset if 0 <= x < ell}
+    w1 = mu3(ell)[1] + 1
+    return any(a != b and (a + (b - a) * w1) % ell in s for a in s for b in s)
 
 
 def in_b_k(ell: int, subset) -> bool:

@@ -199,6 +199,10 @@ def _set_class_field(key, value):
     return corrupt
 
 
+def _degree_not_dividing(doc):
+    doc["degrees"][-1] = 5  # |SL2(F_3)| = 24
+
+
 def _values_not_square(doc):
     for key in ("values_re", "values_im"):
         doc[key].pop()
@@ -217,6 +221,7 @@ CACHE_CORRUPTIONS = {
     "table-missing-degrees": ("table_", lambda doc: doc.pop("degrees")),
     "table-values-shape": ("table_", _values_not_square),
     "table-short-degrees": ("table_", lambda doc: doc["degrees"].pop()),
+    "table-degree-not-dividing": ("table_", _degree_not_dividing),
 }
 
 
@@ -225,6 +230,7 @@ def test_malformed_cache_entry_is_a_miss(tmp_path, capsys, name):
     # `group` prints every per-class field; `count` reads the character table
     commands = [
         ["count", "commutator", "--group", "SL2,q=3", "--class-index", "1"],
+        ["count", "surface", "--group", "SL2,q=3", "--genus", "2"],
         ["group", "--group", "SL2,q=3"],
     ]
     cold = []

@@ -1,5 +1,7 @@
 """Field arithmetic and polynomial utilities."""
 
+import random
+
 import pytest
 
 from matgroups import ff
@@ -179,3 +181,48 @@ def test_element_coercion():
     assert f.element(-1).code == 2
     with pytest.raises(BadRange):
         f.element([1, 2, 0, 1])  # more coefficients than the degree allows
+
+
+def _first_irreducible_by_factoring(p, m):
+    fp = ff.field_make(p)
+    return next(f for f in ff._monic_polys(fp, m) if ff.poly_factor(fp, f) == [(f, 1)])
+
+
+@pytest.mark.parametrize(
+    "p,m",
+    [(p, m) for p in range(2, 33) if ff.is_prime(p) for m in range(2, 11) if p**m <= 2**10],
+)
+def test_modulus_is_first_irreducible_in_monic_order(p, m):
+    assert ff.field_make(p, m).modulus == _first_irreducible_by_factoring(p, m)
+
+
+@pytest.mark.parametrize(
+    "p,m,modulus",
+    [
+        (2, 16, "x^16 + x^5 + x^3 + x + 1"),
+        (2, 17, "x^17 + x^3 + 1"),
+        (2, 20, "x^20 + x^3 + 1"),
+        (3, 10, "x^10 + 2*x^2 + 1"),
+        (5, 8, "x^8 + 2"),
+        (1021, 2, "x^2 + 2"),
+    ],
+)
+def test_large_field_moduli_frozen(p, m, modulus):
+    # element codes and cache-file names depend on the modulus
+    assert ff.poly_str(ff.field_make(p, m).modulus) == modulus
+
+
+@pytest.mark.parametrize("q,max_degree", [(2, 4), (3, 4), (4, 4), (5, 3), (9, 3)])
+def test_gcd_irreducibility_matches_factoring(q, max_degree):
+    f = ff.field_make_q(q)
+    for d in range(max_degree + 1):
+        for poly in ff._monic_polys(f, d):
+            by_factoring = ff.poly_factor(f, poly) == [(poly, 1)]
+            assert ff.poly_is_irreducible(f, poly) == by_factoring, poly
+
+
+def test_inverse_without_tables_in_f_2_20():
+    # q = 2^20 is past both exp/log limits, so inv_code runs extended Euclid
+    f = ff.field_make(2, 20)
+    for a in random.Random(0).sample(range(1, f.q), 3000):
+        assert f.mul_code(a, f.inv_code(a)) == 1

@@ -231,6 +231,14 @@ def test_formula_matches_oracle_surface(group, table, key):
         )
 
 
+def test_surface_count_exact_above_2_53(table):
+    # a float64 sum of |G|^5 / d^4 lands on 49829989688064760 here
+    t = table("SL", 2, 13)
+    got = homcount.surface_hom_count(t, 3)
+    assert got == 49829989688064768
+    assert got == sum(Fraction(t.order) ** 5 / Fraction(d) ** 4 for d in t.degrees)
+
+
 @pytest.mark.parametrize("key", [("GL", 2, 2), ("SL", 2, 3)])
 def test_formula_matches_oracle_squares(group, table, key):
     ctx = group(*key)

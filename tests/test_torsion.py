@@ -1,5 +1,6 @@
 """Zero-sum subset families B_k, multiplicity classes A_n, witness search."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -69,6 +70,36 @@ def test_contains_affine_mu3_examples():
     # 2 * mu3(7) + 1 = {3, 5, 2}
     assert torsion.contains_affine_mu3(7, (2, 3, 5))
     assert not torsion.contains_affine_mu3(7, (0, 1, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _affine_mu3_images(ell):
+    return {
+        frozenset((t * u + c) % ell for u in torsion.mu3(ell))
+        for t in range(1, ell)
+        for c in range(ell)
+    }
+
+
+def _affine_mu3_scan(ell, subset):
+    """Oracle: try every affine image t*mu3 + c with t != 0."""
+    s = frozenset(subset)
+    return any(image <= s for image in _affine_mu3_images(ell))
+
+
+@pytest.mark.parametrize("ell,max_size", [(7, 7), (13, 13), (19, 6)])
+def test_contains_affine_mu3_matches_scan(ell, max_size):
+    for k in range(max_size + 1):
+        for combo in itertools.combinations(range(ell), k):
+            assert torsion.contains_affine_mu3(ell, combo) == _affine_mu3_scan(ell, combo)
+
+
+def test_contains_affine_mu3_ignores_unreduced_entries():
+    # {2, 3, 5} is 2 * mu3(7) + 1, but 9 and 12 are only congruent to 2 and 5
+    unreduced = (9, 3, 12)
+    assert _affine_mu3_scan(7, unreduced) is False
+    assert torsion.contains_affine_mu3(7, unreduced) is False
+    assert torsion.contains_affine_mu3(7, (9, 3, 12, 2, 5)) is True
 
 
 def test_multiplicity_function_basics():
