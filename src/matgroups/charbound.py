@@ -41,9 +41,10 @@ def gaussian_binomial(a: int, w: int, q: int) -> int:
 
 
 def _isotypic_pairs(T: matgrp.MatrixElement) -> tuple[tuple[int, int], ...]:
-    if not matgrp.is_semisimple_matrix(T):
+    _, semisimple, pairs = matgrp.matrix_invariants(T)
+    if not semisimple:
         raise NotSemisimple("matrix has a repeated factor in its minimal polynomial")
-    return matgrp.eigenvalue_multiplicities(T)
+    return pairs
 
 
 def fixed_subspace_count(T: matgrp.MatrixElement, s: int) -> int:

@@ -173,10 +173,6 @@ def _presentation_from(args) -> homcount.Presentation:
     return homcount.Presentation(args.generators, rels)
 
 
-def _table_for(ctx, args, cache_dir):
-    return chartab.character_table(ctx, seed=args.seed, cache_dir=cache_dir)
-
-
 def _table_certs(table) -> dict:
     return {
         "unitarity_residual": table.residual,
@@ -212,7 +208,7 @@ def _cmd_group(args) -> int:
 def _cmd_chartable(args) -> int:
     cache = _cache_dir(args)
     ctx, (kind, n, p, m) = _build_group(args, cache)
-    table = _table_for(ctx, args, cache)
+    table = chartab.character_table(ctx, seed=args.seed, cache_dir=cache)
     rows = [
         {
             "character": i,
@@ -241,41 +237,30 @@ def _cmd_count(args) -> int:
     cache = _cache_dir(args)
     ctx, (kind, n, p, m) = _build_group(args, cache)
     params = _group_echo(kind, n, p, m)
-    certs: dict = {}
-    if args.action == "surface":
-        table = _table_for(ctx, args, cache)
-        certs = _table_certs(table)
-        count = homcount.surface_hom_count(table, args.genus)
-        params["genus"] = args.genus
-        result = {"count": count, "method": "character-formula"}
-    elif args.action == "commutator":
-        table = _table_for(ctx, args, cache)
-        certs = _table_certs(table)
-        count = homcount.commutator_count(table, args.class_index)
-        params["class_index"] = args.class_index
-        result = {"count": count, "method": "character-formula"}
-    elif args.action == "squares":
-        table = _table_for(ctx, args, cache)
-        certs = _table_certs(table)
-        count = homcount.fs_squares_count(table, args.m_terms, args.class_index)
-        params.update({"m_terms": args.m_terms, "class_index": args.class_index})
-        result = {"count": count, "method": "character-formula"}
-    elif args.action == "quad":
-        table = _table_for(ctx, args, cache)
-        certs = _table_certs(table)
-        classes = _int_list(args.classes)
-        if len(classes) != 4:
-            raise UsageError("--classes needs exactly four class indices")
-        count = homcount.quad_class_count(table, classes)
-        params["classes"] = classes
-        result = {"count": count, "method": "character-formula"}
-    elif args.action == "homs":
+    if args.action == "homs":
         pres = _presentation_from(args)
         count = homcount.hom_count_bruteforce(pres, ctx)
         params.update({"generators": args.generators, "relators": args.relators or ""})
-        result = {"count": count, "method": "scan"}
+        result, certs = {"count": count, "method": "scan"}, {}
     else:
-        raise UsageError(f"unknown count action {args.action!r}")
+        table = chartab.character_table(ctx, seed=args.seed, cache_dir=cache)
+        certs = _table_certs(table)
+        if args.action == "surface":
+            count = homcount.surface_hom_count(table, args.genus)
+            params["genus"] = args.genus
+        elif args.action == "commutator":
+            count = homcount.commutator_count(table, args.class_index)
+            params["class_index"] = args.class_index
+        elif args.action == "squares":
+            count = homcount.fs_squares_count(table, args.m_terms, args.class_index)
+            params.update({"m_terms": args.m_terms, "class_index": args.class_index})
+        else:  # quad
+            classes = _int_list(args.classes)
+            if len(classes) != 4:
+                raise UsageError("--classes needs exactly four class indices")
+            count = homcount.quad_class_count(table, classes)
+            params["classes"] = classes
+        result = {"count": count, "method": "character-formula"}
     cfg = RunConfig("count", args.action, args.format, args.seed, params)
     _emit(cfg, result, certs)
     return 0
@@ -426,7 +411,7 @@ def _cmd_charbound(args) -> int:
     if args.action == "bound":
         cache = _cache_dir(args)
         ctx, (kind, n, p, m) = _build_group(args, cache)
-        table = _table_for(ctx, args, cache)
+        table = chartab.character_table(ctx, seed=args.seed, cache_dir=cache)
         rep = charbound.character_bound_check(ctx, table, args.alpha, args.beta)
         params = _group_echo(kind, n, p, m)
         params.update({"alpha": args.alpha, "beta": args.beta})

@@ -241,16 +241,29 @@ class FieldSpec:
     # -- vectorized arithmetic on numpy arrays of codes
 
     def _build_explog(self):
-        if self.q - 1 > VECTOR_EXPLOG_LIMIT:
+        """exp[i] = g^i for the primitive g, and log, by doubling: exp[k:2k] = exp[:k] g^k.
+
+        Multiplying by a constant c is F_p-linear on digit vectors, with the
+        m x m matrix whose row j holds the digits of c x^j.
+        """
+        n = self.q - 1
+        if n > VECTOR_EXPLOG_LIMIT:
             raise BudgetExceeded(f"exp/log tables not built for q={self.q}")
         g = self.primitive_code()
-        exp = np.zeros(max(self.q - 1, 1), dtype=np.int64)
-        cur = 1
-        for i in range(self.q - 1):
-            exp[i] = cur
-            cur = self._mul_direct(cur, g)
+        powers = self.p ** np.arange(self.m, dtype=np.int64)
+        digits = np.zeros((n, self.m), dtype=np.int64)
+        digits[0, 0] = 1
+        k = 1
+        while k < n:
+            gk = self._mul_direct(int(digits[k - 1] @ powers), g)
+            M = np.array([self.code_to_coeffs(self._mul_direct(gk, self.p**j))
+                          for j in range(self.m)], dtype=np.int64)
+            block = min(k, n - k)
+            digits[k : k + block] = (digits[:block] @ M) % self.p
+            k += block
+        exp = digits @ powers
         log = np.zeros(self.q, dtype=np.int64)
-        log[exp] = np.arange(max(self.q - 1, 1), dtype=np.int64)
+        log[exp] = np.arange(n, dtype=np.int64)
         self._explog = (exp, log)
 
     def _digit_tables(self):

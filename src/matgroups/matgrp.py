@@ -69,15 +69,6 @@ def vec_matmul(spec: ff.FieldSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _perm_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def vec_det(spec: ff.FieldSpec, X: np.ndarray) -> np.ndarray:
     """Batched determinant by permutation expansion (intended for n <= 6)."""
     n = X.shape[-1]
@@ -88,7 +79,7 @@ def vec_det(spec: ff.FieldSpec, X: np.ndarray) -> np.ndarray:
         term = X[..., 0, perm[0]]
         for i in range(1, n):
             term = spec.vec_mul(term, X[..., i, perm[i]])
-        if _perm_sign(perm) < 0:
+        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
             term = spec.vec_neg(term)
         acc = term if acc is None else spec.vec_add(acc, term)
     return acc
@@ -211,58 +202,63 @@ def mat_inv(T: MatrixElement) -> MatrixElement:
 def char_poly(T: MatrixElement) -> tuple[int, ...]:
     """Characteristic polynomial det(xI - T), monic, as a code tuple.
 
-    Coefficient of x^(n-k) is (-1)^k times the sum of k x k principal minors.
+    T is reduced to upper Hessenberg form H by similarity transforms; the char
+    polys of the leading blocks of H then follow by the recurrence of Cohen,
+    A Course in Computational Algebraic Number Theory, Alg. 2.2.9.
     """
     spec, n = T.field, T.n
-    X = T.as_array()
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    for k in range(1, n + 1):
-        ek = 0
-        for subset in itertools.combinations(range(n), k):
-            sub = X[np.ix_(subset, subset)]
-            ek = spec.add_code(ek, int(vec_det(spec, sub[None])[0]))
-        if k % 2:
-            ek = spec.neg_code(ek)
-        coeffs[n - k] = ek
-    return tuple(coeffs)
+    add, sub, mul = spec.add_code, spec.sub_code, spec.mul_code
+    H = [list(T.codes[i * n : (i + 1) * n]) for i in range(n)]
+    for m in range(1, n - 1):  # clear column m-1 below the pivot H[m][m-1]
+        piv = next((i for i in range(m, n) if H[i][m - 1]), m)
+        H[piv], H[m] = H[m], H[piv]
+        for row in H:
+            row[piv], row[m] = row[m], row[piv]
+        for i in range(m + 1, n):
+            if H[i][m - 1]:  # row i -= u row m, then column m += u column i
+                u = mul(H[i][m - 1], spec.inv_code(H[m][m - 1]))
+                H[i] = [sub(a, mul(u, b)) for a, b in zip(H[i], H[m])]
+                for row in H:
+                    row[m] = add(row[m], mul(u, row[i]))
+    polys = [(1,)]  # polys[m] = det(xI - H[:m, :m])
+    for m in range(n):
+        p, t = ff.poly_mul(spec, (spec.neg_code(H[m][m]), 1), polys[m]), 1
+        for i in range(1, m + 1):  # t = h_{m,m-1} ... h_{m-i+1,m-i}
+            t = mul(t, H[m - i + 1][m - i])
+            p = ff.poly_sub(spec, p, ff.poly_mul(spec, (mul(t, H[m - i][m]),), polys[m - i]))
+        polys.append(p)
+    return polys[n]
 
 
-def min_poly(T: MatrixElement) -> tuple[int, ...]:
-    """Minimal polynomial via the first linear dependency among powers of T."""
+def matrix_invariants(T: MatrixElement) -> tuple[tuple[int, ...], bool, tuple[tuple[int, int], ...]]:
+    """(char poly, semisimple, eigenvalue multiplicities) of T from one factorisation.
+
+    The multiplicities are the (degree, multiplicity) pairs of the irreducible
+    factors of chi.  T is semisimple iff its minimal polynomial is squarefree,
+    i.e. equals rad(chi), the product of the distinct factors, which always
+    divides it; so iff rad(chi)(T) = 0.
+    """
     spec, n = T.field, T.n
-    dim = n * n
-    # reduced rows of seen powers, with the combination that produced them
-    basis: list[tuple[list[int], list[int]]] = []
-    power = identity_element(spec, n)
-    for d in range(n + 1):
-        vec = list(power.codes)
-        comb = [0] * (n + 2)
-        comb[d] = 1
-        for row, rcomb in basis:
-            pivot = next(i for i, c in enumerate(row) if c)
-            if vec[pivot]:
-                factor = spec.mul_code(vec[pivot], spec.inv_code(row[pivot]))
-                for i in range(dim):
-                    vec[i] = spec.sub_code(vec[i], spec.mul_code(factor, row[i]))
-                for i in range(len(comb)):
-                    rc = rcomb[i] if i < len(rcomb) else 0
-                    comb[i] = spec.sub_code(comb[i], spec.mul_code(factor, rc))
-        if not any(vec):
-            return ff.poly_monic(spec, ff.poly_trim(comb))
-        basis.append((vec, comb))
-        power = power @ T
-    raise AssertionError("no dependency among n+1 matrix powers")  # unreachable
+    cp = char_poly(T)
+    fac = ff.poly_factor(spec, cp)
+    rad = (1,)
+    for f, _ in fac:
+        rad = ff.poly_mul(spec, rad, f)
+    value = [0] * (n * n)  # rad(T) by Horner's rule
+    for c in reversed(rad):
+        value = list((MatrixElement(spec, n, value) @ T).codes)
+        for i in range(0, n * n, n + 1):
+            value[i] = spec.add_code(value[i], c)
+    return cp, not any(value), tuple(sorted((len(f) - 1, mult) for f, mult in fac))
 
 
 def is_semisimple_matrix(T: MatrixElement) -> bool:
-    return ff.poly_is_squarefree(T.field, min_poly(T))
+    return matrix_invariants(T)[1]
 
 
 def eigenvalue_multiplicities(T: MatrixElement) -> tuple[tuple[int, int], ...]:
     """Multiset of (irreducible factor degree, multiplicity) of the char poly."""
-    fac = ff.poly_factor(T.field, char_poly(T))
-    return tuple(sorted((len(f) - 1, mult) for f, mult in fac))
+    return matrix_invariants(T)[2]
 
 
 def companion_matrix(field: ff.FieldSpec, poly) -> MatrixElement:
@@ -482,6 +478,7 @@ class GroupContext:
         classes = []
         for new_cid, c in enumerate(by_key):
             rep = self.element_at(reps[c])
+            cp, semisimple, eig = matrix_invariants(rep)
             classes.append(
                 ConjugacyClassInfo(
                     index=new_cid,
@@ -490,9 +487,9 @@ class GroupContext:
                     size=sizes[c],
                     centralizer_order=self.order // sizes[c],
                     element_order=orders[c],
-                    char_poly=char_poly(rep),
-                    is_semisimple=is_semisimple_matrix(rep),
-                    eigenvalue_multiplicities=eigenvalue_multiplicities(rep),
+                    char_poly=cp,
+                    is_semisimple=semisimple,
+                    eigenvalue_multiplicities=eig,
                 )
             )
         self._class_of = remap[class_of]

@@ -226,3 +226,35 @@ def test_inverse_without_tables_in_f_2_20():
     f = ff.field_make(2, 20)
     for a in random.Random(0).sample(range(1, f.q), 3000):
         assert f.mul_code(a, f.inv_code(a)) == 1
+
+
+def _exp_by_power_walk(f):
+    """g^0, ..., g^(q-2) for the primitive g, one table-free product each."""
+    g, exp = f.primitive_code(), [1]
+    for _ in range(f.q - 2):
+        exp.append(f._mul_direct(exp[-1], g))
+    return exp
+
+
+@pytest.mark.parametrize(
+    "p,m", [(p, m) for p in range(2, 91) if ff.is_prime(p) for m in range(2, 14) if p**m <= 2**13]
+)
+def test_explog_tables_match_power_walk(p, m):
+    f = ff.field_make(p, m)
+    f._build_explog()
+    exp, log = f._explog
+    want = _exp_by_power_walk(f)
+    assert exp.tolist() == want
+    assert log[want].tolist() == list(range(f.q - 1))
+
+
+def test_explog_tables_of_f_2_17():
+    f = ff.field_make(2, 17)
+    f._build_explog()
+    exp, log = f._explog
+    assert sorted(exp.tolist()) == list(range(1, f.q))
+    assert log[exp].tolist() == list(range(f.q - 1))
+    rng = random.Random(17)
+    for _ in range(200):
+        i, j = rng.randrange(f.q - 1), rng.randrange(f.q - 1)
+        assert f._mul_direct(int(exp[i]), int(exp[j])) == exp[(i + j) % (f.q - 1)]

@@ -5,13 +5,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matgroups import ff, matgrp
+from matgroups import charbound, ff, matgrp
 from matgroups.errors import (
     BadRange,
     BudgetExceeded,
     ElementNotInGroup,
     NoSuchClass,
     NotSquarefree,
+)
+from matrix_oracles import (
+    char_poly_by_minors,
+    eigenvalue_multiplicities_by_factoring,
+    is_semisimple_by_min_poly,
+    min_poly,
 )
 
 # (kind, n, q) -> (order, number of classes)
@@ -182,12 +188,93 @@ def test_char_poly_and_min_poly():
     ident = matgrp.identity_element(f, 2)
     # char poly (x-1)^2 = x^2 + x + 1 over F_3, min poly x - 1
     assert matgrp.char_poly(ident) == (1, 1, 1)
-    assert matgrp.min_poly(ident) == (2, 1)
+    assert min_poly(ident) == (2, 1)
     u = matgrp.matrix_element(f, [[1, 1], [0, 1]])
     assert matgrp.char_poly(u) == (1, 1, 1)
-    assert matgrp.min_poly(u) == (1, 1, 1)
+    assert min_poly(u) == (1, 1, 1)
     assert not matgrp.is_semisimple_matrix(u)
     assert matgrp.is_semisimple_matrix(ident)
+
+
+# (q, n) for the Hessenberg char poly against the principal-minor oracle
+CHAR_POLY_CASES = [(2, 2), (3, 2), (2, 3), (5, 2), (4, 3), (3, 3), (2, 4), (3, 4), (7, 3),
+                   (2, 5), (9, 2), (8, 3), (27, 2), (2, 6), (16, 2), (25, 3)]
+
+
+def _elements(field, X):
+    return [matgrp.MatrixElement(field, X.shape[-1], x.reshape(-1)) for x in X]
+
+
+@pytest.mark.parametrize("q,n", CHAR_POLY_CASES)
+def test_char_poly_matches_principal_minors(q, n):
+    f = ff.field_make_q(q)
+    rng = np.random.default_rng(100 * q + n)
+    X = rng.integers(0, q, (100, n, n))
+    X[:30] *= rng.random((30, n, n)) < 0.3  # sparse ones hit the zero-pivot branches
+    assert [matgrp.char_poly(T) for T in _elements(f, X)] == char_poly_by_minors(f, X)
+    if n <= 4:
+        for T in _elements(f, X):
+            assert matgrp.is_semisimple_matrix(T) == is_semisimple_by_min_poly(T)
+
+
+def _degenerate_matrices(q, n, rng):
+    """Matrices that steer the Hessenberg reduction through each of its branches."""
+    out = []
+    A = rng.integers(0, q, (n, n))
+    A[1:, 0] = 0  # no pivot in the first column
+    out.append(A)
+    B = rng.integers(1, q, (n, n)) if q > 2 else np.ones((n, n), dtype=np.int64)
+    B[1, 0] = 0  # the pivot sits below the subdiagonal: a row/column swap
+    out.append(B)
+    out.append(np.diag(rng.integers(0, q, n)))
+    for c in range(q if q <= 4 else 3):  # a scalar plus the nilpotent shift
+        out.append(np.eye(n, k=1, dtype=np.int64) + c * np.eye(n, dtype=np.int64))
+    k = n // 2  # block upper triangular, with a zero lower-left block
+    C = rng.integers(0, q, (n, n))
+    C[k:, :k] = 0
+    out.append(C)
+    out.append(np.triu(rng.integers(0, q, (n, n))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_char_poly_on_degenerate_matrices(q, n):
+    f = ff.field_make_q(q)
+    X = _degenerate_matrices(q, n, np.random.default_rng(q * n))
+    assert [matgrp.char_poly(T) for T in _elements(f, X)] == char_poly_by_minors(f, X)
+    for T in _elements(f, X):
+        assert matgrp.is_semisimple_matrix(T) == is_semisimple_by_min_poly(T)
+        assert matgrp.eigenvalue_multiplicities(T) == eigenvalue_multiplicities_by_factoring(T)
+
+
+@pytest.mark.parametrize("kind,n,q", [("GL", 2, 3), ("GL", 2, 4), ("SL", 2, 9), ("GL", 3, 2),
+                                      ("SL", 3, 3)])
+def test_class_invariants_match_oracles(group, kind, n, q):
+    ctx = group(kind, n, q)
+    for c in ctx.classes:
+        T = c.representative
+        assert c.char_poly == char_poly_by_minors(ctx.field, T.as_array()[None])[0]
+        assert c.is_semisimple == matgrp.is_semisimple_matrix(T) == is_semisimple_by_min_poly(T)
+        assert (c.eigenvalue_multiplicities == matgrp.eigenvalue_multiplicities(T)
+                == eigenvalue_multiplicities_by_factoring(T))
+    assert not all(c.is_semisimple for c in ctx.classes)
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_jordan_blocks_next_to_other_eigenvalues(q):
+    f = ff.field_make(q)
+    jordan = matgrp.companion_matrix(f, (1, f.neg_code(2), 1))  # (x - 1)^2
+    rot = matgrp.companion_matrix(f, (1, 1, 1))  # x^2 + x + 1
+    scalar = [matgrp.matrix_element(f, [[c]]) for c in range(q)]
+    cases = [([jordan, scalar[c]], False) for c in range(q)]
+    cases += [([jordan, jordan], False), ([jordan, rot], False)]
+    cases += [([scalar[c], scalar[c], scalar[1]], True) for c in range(q)]  # diagonal
+    cases += [([rot, rot], q != 3)]  # x^2 + x + 1 = (x - 1)^2 over F_3
+    for blocks, semisimple in cases:
+        T = charbound._block_diag(f, blocks)
+        assert matgrp.is_semisimple_matrix(T) == is_semisimple_by_min_poly(T) == semisimple
+        assert matgrp.eigenvalue_multiplicities(T) == eigenvalue_multiplicities_by_factoring(T)
 
 
 def test_companion_matrix_has_its_charpoly():
