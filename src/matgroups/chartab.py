@@ -2,9 +2,10 @@
 
 The table is obtained from the class algebra: a random real combination of
 the class multiplication matrices is conjugated by diag(sqrt(class size)),
-which makes it normal, and its Schur decomposition yields one common
-eigenvector per irreducible character.  Certificates (orthogonality,
-degree integrality, sum of squares) gate every returned table.
+which makes it normal, and its eigendecomposition (`numpy.linalg.eig`)
+yields one common eigenvector per irreducible character.  Certificates
+(orthogonality, degree integrality, sum of squares) gate every returned
+table.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import matgrp
 from .errors import BudgetExceeded, EigensolverDegeneracy, RoundingFailure
@@ -100,7 +100,7 @@ def character_table(
         t = rng.uniform(1.0, 2.0, k)
         M = np.tensordot(t, A, axes=(0, 0))
         S = M * (sq[None, :] / sq[:, None])
-        T, Q = scipy.linalg.schur(S.astype(np.complex128), output="complex")
+        _, Q = np.linalg.eig(S.astype(np.complex128))
 
         V = Q * sq[:, None]
         pivot = V[ident, :]

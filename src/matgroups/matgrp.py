@@ -470,8 +470,11 @@ class GroupContext:
 
     def _compute_classes(self):
         label = self._orbit_labels()
-        reps, class_of, sizes = np.unique(label, return_inverse=True, return_counts=True)
-        reps, sizes, orders = reps.tolist(), sizes.tolist(), self.element_orders(reps).tolist()
+        counts = np.bincount(label, minlength=self.order)
+        reps = np.flatnonzero(counts)
+        class_of = (np.cumsum(counts > 0) - 1)[label]
+        sizes, orders = counts[reps].tolist(), self.element_orders(reps).tolist()
+        reps = reps.tolist()
         by_key = sorted(range(len(reps)), key=lambda c: (orders[c], sizes[c], reps[c]))
         remap = np.empty(len(reps), dtype=np.int32)
         remap[by_key] = np.arange(len(reps), dtype=np.int32)

@@ -197,8 +197,9 @@ def _hom_kill_part(ctx: matgrp.GroupContext, kern: ScanKernel) -> bool:
         bc = kern.compose(kern.compose(b, all_idx), kern.compose(int(inv[b]), inv[all_idx]))
         prods = _pairwise(kern, members, members)
         tails = _pairwise(kern, inv[members], inv[members])
-        comms = np.unique(kern.compose(prods.reshape(-1), tails.reshape(-1)))
-        for u in comms:
+        seen = np.zeros(N, dtype=bool)
+        seen[kern.compose(prods.reshape(-1), tails.reshape(-1))] = True
+        for u in np.flatnonzero(seen):
             if not (kern.compose(int(u), bc) == kern.compose(bc, int(u))).all():
                 return False
     return True

@@ -148,3 +148,42 @@ def test_table_cache_round_trip(tmp_path):
 def test_chi_accessor(table):
     t = table("GL", 2, 2)
     assert t.chi(0, t.identity_class) == pytest.approx(t.degrees[0])
+
+
+# degrees and Frobenius-Schur indicators in table row order, pinned from
+# tables made with a Schur decomposition (the same for seeds 0-3), so a
+# change of eigensolver that reorders or misreads rows shows here
+FROZEN_ROWS = {
+    ("SL", 2, 13): (
+        (1, 6, 6, 7, 7, 12, 12, 12, 12, 12, 12, 13, 14, 14, 14, 14, 14),
+        (1, -1, -1, 1, 1, -1, -1, -1, 1, 1, 1, 1, -1, -1, -1, 1, 1),
+    ),
+    ("GL", 2, 7): (
+        (1,) * 6 + (6,) * 21 + (7,) * 6 + (8,) * 15,
+        (0, 0, 1, 0, 0, 1) + (0,) * 18 + (1, 1, 1) + (0, 0, 1, 0, 0, 1)
+        + (0,) * 8 + (1, 0, 0, 1, 0, 0, 1),
+    ),
+    ("GL", 3, 2): ((1, 3, 3, 6, 7, 8), (1, 0, 0, 1, 1, 1)),
+    ("SL", 3, 3): (
+        (1, 12, 13, 16, 16, 16, 16, 26, 26, 26, 27, 39),
+        (1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("key", list(FROZEN_ROWS), ids=lambda k: f"{k[0]}{k[1]}_q{k[2]}")
+def test_central_characters_respect_class_algebra(group, key, seed):
+    # omega(C) = |C| chi(C) / chi(1) is an algebra homomorphism of the class
+    # algebra, omega(C_i) omega(C_j) = sum_l c_ij^l omega(C_l), whatever
+    # eigensolver produced the rows
+    ctx = group(*key)
+    t = chartab.character_table(ctx, seed=seed)
+    sizes = np.array(t.class_sizes, dtype=np.float64)
+    omega = t.values * sizes[None, :] / t.values[:, [t.identity_class]]
+    A = chartab.class_matrices(ctx).astype(np.float64)
+    lhs = omega[:, :, None] * omega[:, None, :]
+    rhs = np.einsum("ijl,rl->rij", A, omega)
+    scale = float(np.max(np.abs(omega))) ** 2
+    assert np.max(np.abs(lhs - rhs)) <= 1e-8 * scale
+    assert (t.degrees, t.fs_indicators) == FROZEN_ROWS[key]
