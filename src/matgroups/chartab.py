@@ -68,6 +68,12 @@ def class_matrices(ctx: matgrp.GroupContext) -> np.ndarray:
     return A
 
 
+def _row_order(values: np.ndarray, degrees) -> list[int]:
+    """Rows sorted by degree, then by their values rounded to 6 decimals."""
+    re6, im6 = np.round(values.real, 6).tolist(), np.round(values.imag, 6).tolist()
+    return sorted(range(len(values)), key=lambda r: (int(degrees[r]), tuple(zip(re6[r], im6[r]))))
+
+
 def _squaring_map(ctx: matgrp.GroupContext) -> list[int]:
     reps = [info.rep_index for info in ctx.classes]
     return ctx.class_of[ctx.mul(reps, reps)].tolist()
@@ -91,7 +97,11 @@ def character_table(
     sizes = np.array([c.size for c in classes], dtype=np.float64)
     order = ctx.order
     ident = next(i for i, c in enumerate(classes) if c.element_order == 1)
-    A = class_matrices(ctx).astype(np.float64)
+    # cast to float64 in the int64 buffer, one k x k slice at a time, so that
+    # two k^3 arrays never coexist (13.8 MB each for GL2(F_11), k = 120)
+    A = class_matrices(ctx).view(np.float64)
+    for i in range(k):
+        A[i] = A[i].view(np.int64)
     sq = np.sqrt(sizes)
 
     last_residual = np.inf
@@ -133,16 +143,7 @@ def character_table(
             last_residual = unit_res
             continue
 
-        rows = sorted(
-            range(k),
-            key=lambda r: (
-                int(deg_round[r]),
-                tuple(
-                    (round(values[r, l].real, 6), round(values[r, l].imag, 6))
-                    for l in range(k)
-                ),
-            ),
-        )
+        rows = _row_order(values, deg_round)
         values = values[rows]
         degrees = tuple(int(deg_round[r]) for r in rows)
 

@@ -236,11 +236,15 @@ def matrix_invariants(T: MatrixElement) -> tuple[tuple[int, ...], bool, tuple[tu
     The multiplicities are the (degree, multiplicity) pairs of the irreducible
     factors of chi.  T is semisimple iff its minimal polynomial is squarefree,
     i.e. equals rad(chi), the product of the distinct factors, which always
-    divides it; so iff rad(chi)(T) = 0.
+    divides it; so iff rad(chi)(T) = 0.  A squarefree chi is rad(chi), and
+    chi(T) = 0 by Cayley-Hamilton, so only a repeated factor needs the check.
     """
     spec, n = T.field, T.n
     cp = char_poly(T)
     fac = ff.poly_factor(spec, cp)
+    eig = tuple(sorted((len(f) - 1, mult) for f, mult in fac))
+    if all(mult == 1 for _, mult in fac):
+        return cp, True, eig
     rad = (1,)
     for f, _ in fac:
         rad = ff.poly_mul(spec, rad, f)
@@ -249,7 +253,7 @@ def matrix_invariants(T: MatrixElement) -> tuple[tuple[int, ...], bool, tuple[tu
         value = list((MatrixElement(spec, n, value) @ T).codes)
         for i in range(0, n * n, n + 1):
             value[i] = spec.add_code(value[i], c)
-    return cp, not any(value), tuple(sorted((len(f) - 1, mult) for f, mult in fac))
+    return cp, not any(value), eig
 
 
 def is_semisimple_matrix(T: MatrixElement) -> bool:
@@ -315,6 +319,8 @@ class GroupContext:
         self._class_of: np.ndarray | None = None
         self._inv_idx: np.ndarray | None = None
         self._cayley: np.ndarray | None = None
+        self._row_keys: np.ndarray | None = None
+        self._col_keys: np.ndarray | None = None
         self.cache_dir: str | None = None
 
     # -- basic element handling
@@ -362,13 +368,51 @@ class GroupContext:
         """Indices of the products of elements a and b (broadcasting index arrays).
 
         This is the one product of group elements: a lookup in the Cayley table
-        once it exists, otherwise one batched matrix product.
+        once it exists; a product of one fixed element with at least q^n others
+        through a table of its q^n line images; otherwise one batched matrix
+        product.
         """
         if self._cayley is not None:
             return self._cayley[a, b]
+        lines = self.field.q**self.n
+        if np.ndim(b) == 0 and np.size(a) >= lines:
+            return self._mul_fixed(a, int(b), right=True)
+        if np.ndim(a) == 0 and np.size(b) >= lines:
+            return self._mul_fixed(b, int(a), right=False)
         X = np.take(self.mats, a, axis=0)
         Y = np.take(self.mats, b, axis=0)
         return self.idx_of_mats(vec_matmul(self.field, X, Y))
+
+    def _mul_fixed(self, a, fixed: int, right: bool) -> np.ndarray:
+        """Indices of a[..] * fixed (right) or fixed * a[..] (left).
+
+        Right multiplication by B sends row r of each factor to rB, so with
+        T_i[r] = sum_j (rB)_j q^(n i + j) over all q^n rows r, the product's key
+        is sum_i T_i[rowkey_i].  On the left, column c goes to Bc, and
+        T_j[c] = sum_i (Bc)_i q^(n i + j) gives the key sum_j T_j[colkey_j].
+        """
+        q, n = self.field.q, self.n
+        B = self.mats[fixed]
+        images = vec_matmul(self.field, _all_vectors(q, n)[:, None, :], B if right else B.T)
+        w = q ** np.arange(n, dtype=np.int64)
+        inner, outer = (w, w**n) if right else (w**n, w)
+        tables = outer[:, None] * (images[:, 0] @ inner)
+        line_keys = self._line_keys(right)
+        keys = tables[0].take(line_keys[0].take(a))
+        for i in range(1, n):
+            keys += tables[i].take(line_keys[i].take(a))
+        return self._key_to_idx.take(keys)
+
+    def _line_keys(self, rows: bool) -> np.ndarray:
+        """Row keys sum_j g_ij q^j or column keys sum_i g_ij q^i of every g, shape (n, |G|)."""
+        attr = "_row_keys" if rows else "_col_keys"
+        if getattr(self, attr) is None:
+            q, n = self.field.q, self.n
+            w = q ** np.arange(n, dtype=np.int64)
+            keys = self.mats @ w if rows else w @ self.mats
+            dtype = np.int16 if q**n <= 2**15 else np.int32
+            setattr(self, attr, np.ascontiguousarray(keys.T, dtype=dtype))
+        return getattr(self, attr)
 
     def mul_idx(self, i: int, j: int) -> int:
         return int(self.mul(i, j))
@@ -626,9 +670,11 @@ def _cache_load(kind: str, n: int, field: ff.FieldSpec, cache_dir: str) -> Group
     if (
         class_of.shape != (order,)
         or ((class_of < 0) | (class_of >= len(rows))).any()
-        or sum(size for _, size, *_ in rows) != order
         or not all(0 <= rep < order and size > 0 and _class_data_ok(n, field.q, *data)
                    for rep, size, *data in rows)
+        # class i holds exactly size_i elements, its representative among them
+        or np.bincount(class_of, minlength=len(rows)).tolist() != [size for _, size, *_ in rows]
+        or class_of[[rep for rep, *_ in rows]].tolist() != list(range(len(rows)))
     ):
         return None
     # elements are regenerated; the cache stores only class structure

@@ -187,3 +187,29 @@ def test_central_characters_respect_class_algebra(group, key, seed):
     scale = float(np.max(np.abs(omega))) ** 2
     assert np.max(np.abs(lhs - rhs)) <= 1e-8 * scale
     assert (t.degrees, t.fs_indicators) == FROZEN_ROWS[key]
+
+
+def _row_order_by_round(values, degrees):
+    """The row order by one Python round() per entry: the oracle for `chartab._row_order`."""
+    k = len(values)
+    return sorted(range(k), key=lambda r: (
+        int(degrees[r]),
+        tuple((round(values[r, l].real, 6), round(values[r, l].imag, 6)) for l in range(k))))
+
+
+@pytest.mark.parametrize("key", [("SL", 2, 7), ("GL", 2, 5), ("SL", 3, 3)])
+def test_row_order_matches_per_entry_rounding(table, key):
+    t = table(*key)
+    degrees = np.array(t.degrees)
+    re6 = np.round(t.values.real, 6)
+    # some rows of equal degree differ only in their imaginary parts
+    assert any(degrees[r] == degrees[s] and np.array_equal(re6[r], re6[s])
+               for r in range(t.k) for s in range(r))
+    assert chartab._row_order(t.values, degrees) == list(range(t.k))
+    rng = np.random.default_rng(t.order)
+    for _ in range(5):
+        perm = rng.permutation(t.k)
+        values, degs = t.values[perm], degrees[perm]
+        order = chartab._row_order(values, degs)
+        assert order == _row_order_by_round(values, degs)
+        assert np.array_equal(values[order], t.values)

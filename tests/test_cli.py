@@ -193,6 +193,11 @@ def _sizes_miss_order(doc):
     doc["classes"][0]["size"] += 1
 
 
+def _class_ids_swapped(doc):
+    # classes 0 and 1 of SL2(F_3) are {I} and {-I}: sizes and the sum still fit
+    doc["class_of"] = [{0: 1, 1: 0}.get(c, c) for c in doc["class_of"]]
+
+
 def _set_class_field(key, value):
     def corrupt(doc):
         doc["classes"][0][key] = value
@@ -213,6 +218,7 @@ CACHE_CORRUPTIONS = {
     "group-missing-classes": ("group_", lambda doc: doc.pop("classes")),
     "group-short-class-of": ("group_", lambda doc: doc["class_of"].pop()),
     "group-class-id-range": ("group_", _class_id_out_of_range),
+    "group-class-of-swapped": ("group_", _class_ids_swapped),
     "group-rep-index-range": ("group_", _rep_index_out_of_range),
     "group-sizes-sum": ("group_", _sizes_miss_order),
     "group-element-order-zero": ("group_", _set_class_field("element_order", 0)),

@@ -93,6 +93,36 @@ def test_group_mul_matches_scalar_product(kind, n, q):
             break
 
 
+FIXED_FACTOR_GROUPS = (
+    [("SL", 2, q) for q in KERNEL_QS] + [("SL", 3, q) for q in (2, 3, 4)] + [("GL", 4, 2)]
+)
+
+
+@pytest.mark.parametrize("kind,n,q", FIXED_FACTOR_GROUPS)
+def test_fixed_factor_products_match_scalar_product(kind, n, q):
+    # below q^n factors the matrix path runs, from q^n on the line-table path
+    ctx = matgrp.group_build_uncached(kind, n, ff.field_make_q(q))
+    rng = np.random.default_rng(ctx.order + q)
+    lines = q**n
+    fixed = int(rng.integers(ctx.order))
+    for size in (lines - 1, lines):
+        a = rng.integers(0, ctx.order, size)
+        for arr in (a, a.reshape(1, -1), a.reshape(-1, 1)):
+            _check_mul(ctx, arr, fixed)
+            _check_mul(ctx, fixed, arr)
+        built = ctx._row_keys is not None, ctx._col_keys is not None
+        assert built == ((size == lines),) * 2
+
+
+def test_fixed_factor_products_over_a_gl1():
+    ctx = matgrp.group_build_uncached("GL", 1, ff.field_make_q(16))
+    a = np.broadcast_to(np.arange(ctx.order), (2, ctx.order))  # 30 >= 16 entries
+    for fixed in (0, 7, ctx.order - 1):
+        _check_mul(ctx, a, fixed)
+        _check_mul(ctx, fixed, a)
+    assert ctx._row_keys is not None and ctx._col_keys is not None
+
+
 @pytest.mark.parametrize("kind,n,q", [("GL", 2, 4), ("SL", 2, 9), ("GL", 3, 2)])
 def test_class_orbits_match_bruteforce_conjugation(group, kind, n, q):
     ctx = group(kind, n, q)
