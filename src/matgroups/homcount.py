@@ -1,9 +1,10 @@
 """Counting homomorphisms and word-equation solutions in built groups.
 
 Two independent routes are kept side by side: closed-form class sums over a
-character table, and exact integer counting by enumeration (full tuple scans
-for small degree, pairwise product passes plus convolution identities for the
-quadratic shapes).  Tests and the verify sweep compare the two.
+character table, and exact integer counting by enumeration (tuple scans with
+the first generator over class representatives for small degree, commutator
+and squaring fibers plus convolution identities for the quadratic shapes).
+Tests and the verify sweep compare the two.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chartab, matgrp
-from .errors import BadRange, BudgetExceeded, RoundingFailure
+from .errors import BadRange, BudgetExceeded, CertificateError, RoundingFailure
 
 TUPLE_BUDGET = 10**8
-SCAN_ORDER_BUDGET = 10**4  # pairwise passes are |G|^2
+SCAN_ORDER_BUDGET = 10**4  # pairwise passes are up to |G|^2
 SCAN_BLOCK = 2**16  # tuples evaluated together in one vectorized block
 ROUND_TOL = 1e-3
 
@@ -160,10 +161,19 @@ def recognize_squares_m(pres: Presentation) -> int | None:
 
 # ---------------------------------------------------------------------------
 # scan kernels (exact, character-free)
+#
+# Every count below is invariant under simultaneous conjugation of the tuple,
+# so the scans run the first generator over one representative per conjugacy
+# class, weighted by the class size, and turn the weighted class sums back
+# into a class function.
 
 
 class ScanKernel:
-    """Index-level composition over a GroupContext, with its Cayley table built."""
+    """Index-level composition over a GroupContext, with its Cayley table built.
+
+    The scans build one kernel per call; `eval_word_vec` evaluates a word on
+    one block of tuples.
+    """
 
     def __init__(self, ctx: matgrp.GroupContext):
         self.ctx = ctx
@@ -194,36 +204,63 @@ def _check_tuple_budget(order: int, d: int):
         raise BudgetExceeded(f"{order}^{d} tuples exceeds budget {TUPLE_BUDGET}")
 
 
-def _scan_blocks(ctx: matgrp.GroupContext, words, d: int):
-    """Values of the words over all of G^d (d >= 1), one block at a time.
+def _scan_blocks(ctx: matgrp.GroupContext, words, d: int, firsts=None):
+    """Values of the words over G^d (d >= 1) as (weight, values) blocks.
 
-    The last k generators run vectorized over the N^k tuples of a block, k >= 1
-    the largest with N^k <= SCAN_BLOCK; the leading d - k stay Python ints.
-    Each block is a list with one index array per word.
+    x1 runs over the (index, weight) pairs of firsts, by default one
+    representative per conjugacy class weighted by its size; every block has
+    x1 fixed.  Of x2..xd, the last k run vectorized over the N^k tuples of a
+    block, k >= 1 the largest with N^k <= SCAN_BLOCK, and the rest stay Python
+    ints.  values holds one index array per word.
     """
     _check_tuple_budget(ctx.order, d)
     kern = ScanKernel(ctx)
     N = ctx.order
-    k = 1
-    while k < d and N ** (k + 1) <= SCAN_BLOCK:
+    if firsts is None:
+        firsts = [(c.rep_index, c.size) for c in ctx.classes]
+    k = min(1, d - 1)
+    while k < d - 1 and N ** (k + 1) <= SCAN_BLOCK:
         k += 1
-    tail = list(np.indices((N,) * k, dtype=np.int64).reshape(k, -1))
-    return (
-        [kern.eval_word_vec(w, [*head, *tail], d, tail[-1]) for w in words]
-        for head in itertools.product(range(N), repeat=d - k)
-    )
+    tail = list(np.indices((N,) * k, dtype=np.int64).reshape(k, -1)) if k else []
+    for x1, weight in firsts:
+        vec = tail[-1] if k else np.array([x1], dtype=np.int64)
+        for mid in itertools.product(range(N), repeat=d - 1 - k):
+            yield weight, [kern.eval_word_vec(w, [x1, *mid, *tail], d, vec) for w in words]
+
+
+def _class_vector(ctx: matgrp.GroupContext, hist: np.ndarray) -> np.ndarray:
+    """Values, one per class, of the class function with the class sums of hist.
+
+    A class sum that the class size does not divide means hist cannot come
+    from a class function, so the class data or the scan is wrong.
+    """
+    sums = np.zeros(len(ctx.classes), dtype=hist.dtype)
+    np.add.at(sums, ctx.class_of, hist)
+    sizes = np.array([c.size for c in ctx.classes], dtype=np.int64)
+    if (sums % sizes).any():
+        raise CertificateError("class sums are not divisible by the class sizes")
+    return sums // sizes
+
+
+def _class_histogram(ctx: matgrp.GroupContext, word: Word) -> np.ndarray:
+    """#{tuples t : word(t) = z} for every z, from a class-representative scan."""
+    hist = np.zeros(ctx.order, dtype=np.int64)
+    for weight, (vals,) in _scan_blocks(ctx, [word], word.max_gen):
+        hist += weight * np.bincount(vals, minlength=ctx.order)
+    return _class_vector(ctx, hist)[ctx.class_of]
 
 
 def word_histogram(ctx: matgrp.GroupContext, word: Word) -> np.ndarray:
-    """#{tuples t : word(t) = z} for every element z, by full scan."""
-    hist = np.zeros(ctx.order, dtype=np.int64)
+    """#{tuples t : word(t) = z} for every element z, exactly.
+
+    The fibers are a class function of z; x1 runs over class representatives.
+    """
     if word.max_gen == 0:
         # the empty word has the single empty assignment
+        hist = np.zeros(ctx.order, dtype=np.int64)
         hist[ctx.identity_index] = 1
         return hist
-    for (vals,) in _scan_blocks(ctx, [word], word.max_gen):
-        hist += np.bincount(vals, minlength=ctx.order)
-    return hist
+    return _class_histogram(ctx, word)
 
 
 def hom_count_bruteforce(pres: Presentation, ctx: matgrp.GroupContext) -> int:
@@ -248,12 +285,12 @@ def hom_count_bruteforce(pres: Presentation, ctx: matgrp.GroupContext) -> int:
             return ctx.order**d
     ident = ctx.identity_index
     return sum(
-        int(np.logical_and.reduce([vals == ident for vals in block]).sum())
-        for block in _scan_blocks(ctx, pres.relators, d)
+        weight * int(np.logical_and.reduce([vals == ident for vals in block]).sum())
+        for weight, block in _scan_blocks(ctx, pres.relators, d)
     )
 
 
-# -- quadratic-shape oracles built from |G|^2 passes
+# -- quadratic-shape oracles: commutator and squaring fibers, convolutions
 
 
 def _check_scan_budget(ctx: matgrp.GroupContext):
@@ -264,19 +301,9 @@ def _check_scan_budget(ctx: matgrp.GroupContext):
 
 
 def commutator_histogram(ctx: matgrp.GroupContext) -> np.ndarray:
-    """#{(x,y) : x y x^-1 y^-1 = z} for every z, one |G|^2 pass."""
+    """#{(x,y) : x y x^-1 y^-1 = z} for every z; x over class representatives."""
     _check_scan_budget(ctx)
-    kern = ScanKernel(ctx)
-    N = ctx.order
-    inv = kern.inv
-    all_idx = np.arange(N, dtype=np.int64)
-    hist = np.zeros(N, dtype=np.int64)
-    for x in range(N):
-        xy = kern.compose(x, all_idx)
-        tail = kern.compose(int(inv[x]), inv[all_idx])
-        comm = kern.compose(xy, tail)
-        np.add.at(hist, comm, 1)
-    return hist
+    return _class_histogram(ctx, parse_word("[x1,x2]"))
 
 
 def squaring_histogram(ctx: matgrp.GroupContext) -> np.ndarray:
@@ -292,22 +319,24 @@ def squaring_histogram(ctx: matgrp.GroupContext) -> np.ndarray:
 def element_convolution(ctx: matgrp.GroupContext, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(f * g)(z) = sum_u f(u) g(u^-1 z), exactly.
 
-    Every partial sum is at most max|f| * sum|g| in size; below 2^63 the
-    convolution runs in int64, otherwise in Python ints (dtype object).
+    One pass over target points z, each the dot product of f with g read at
+    u^-1 z.  When f and g are both constant on conjugacy classes, so is f * g,
+    and z runs over one representative per class only.  Every partial sum is
+    at most max|f| * sum|g| in size; below 2^63 the convolution runs in int64,
+    otherwise in Python ints (dtype object).
     """
     _check_scan_budget(ctx)
     kern = ScanKernel(ctx)
-    N = ctx.order
-    all_idx = np.arange(N, dtype=np.int64)
     bound = max(abs(int(v)) for v in f) * sum(abs(int(v)) for v in g)
     dtype = np.int64 if bound < 2**63 else object
+    f = np.asarray(f, dtype=dtype)
     g = np.asarray(g, dtype=dtype)
-    out = np.zeros(N, dtype=dtype)
-    for u in range(N):
-        fu = int(f[u])
-        if fu:
-            out += fu * g[kern.compose(int(kern.inv[u]), all_idx)]
-    return out
+    cof = ctx.class_of
+    reps = np.array([c.rep_index for c in ctx.classes], dtype=np.int64)
+    on_classes = all((h == h[reps][cof]).all() for h in (f, g))
+    targets = reps if on_classes else range(ctx.order)
+    out = np.array([f.dot(g[kern.compose(kern.inv, int(z))]) for z in targets], dtype=dtype)
+    return out[cof] if on_classes else out
 
 
 def oracle_commutator_counts(ctx: matgrp.GroupContext) -> np.ndarray:
@@ -347,17 +376,6 @@ def oracle_quad_count(ctx: matgrp.GroupContext, class_indices) -> int:
     w34 = element_convolution(ctx, ind[2], ind[3])
     inv = ctx.inv_idx
     return int(np.sum(w12 * w34[inv]))
-
-
-def _class_vector(ctx: matgrp.GroupContext, hist: np.ndarray) -> np.ndarray:
-    """Collapse a per-element class function to one value per class."""
-    k = len(ctx.classes)
-    sums = np.zeros(k, dtype=np.int64)
-    np.add.at(sums, ctx.class_of, hist)
-    sizes = np.array([c.size for c in ctx.classes], dtype=np.int64)
-    if (sums % sizes).any():
-        raise AssertionError("histogram is not a class function")
-    return sums // sizes
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def eval_word(w: Word, elements) -> matgrp.MatrixElement:
 
 
 def fiber_count(w: Word, ctx: matgrp.GroupContext, target: matgrp.MatrixElement) -> int:
-    """Exact #{t in G^d : w(t) = target} by full scan."""
+    """Exact #{t in G^d : w(t) = target}, read off the word's histogram."""
     hist = homcount.word_histogram(ctx, w)
     return int(hist[ctx.index_of(target)])
 
@@ -135,11 +135,15 @@ def dimension_estimate(
 
 
 def double_word_stats(w1: Word, w2: Word, ctx: matgrp.GroupContext) -> tuple[int, float]:
-    """Size of {(w1(t), w2(t))} over all tuples, and its fraction of |G|^2."""
+    """Size of {(w1(t), w2(t))} over all tuples, and its fraction of |G|^2.
+
+    An image set has no class weights, so x1 runs over every element.
+    """
     N = ctx.order
-    blocks = homcount._scan_blocks(ctx, [w1, w2], max(w1.max_gen, w2.max_gen, 1))
+    every = [(x, 1) for x in range(N)]
+    blocks = homcount._scan_blocks(ctx, [w1, w2], max(w1.max_gen, w2.max_gen, 1), every)
     seen = np.zeros(N * N, dtype=bool)
-    for v1, v2 in blocks:
+    for _, (v1, v2) in blocks:
         seen[v1 * N + v2] = True
     image = int(seen.sum())
     return image, image / float(N) ** 2

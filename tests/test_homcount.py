@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from matgroups import homcount, matgrp
-from matgroups.errors import BadRange, BudgetExceeded, RoundingFailure
+from matgroups import ff, homcount, matgrp
+from matgroups.errors import BadRange, BudgetExceeded, CertificateError, RoundingFailure
 from matgroups.homcount import Presentation, Word, parse_word
 
 # GL_2(F_2) is S_3; counts below were first computed by hand on S_3 and frozen
@@ -93,7 +93,8 @@ def test_word_histogram_worker_invariance(group):
 
 
 def test_block_split_word_histogram_uniform(group):
-    # |G| = 48 puts x2, x3 in each block and leaves x1 a scalar: 48 blocks
+    # |G| = 48 puts x2, x3 in each block and leaves x1 a scalar: one block per
+    # class representative of x1, 8 in all
     ctx = group("GL", 2, 3)
     assert 48**2 <= homcount.SCAN_BLOCK < 48**3
     hist = homcount.word_histogram(ctx, parse_word("x1 x2 x3"))
@@ -277,3 +278,138 @@ def test_rounding_certificate_rejects_corrupt_table(table):
     bad = dataclasses.replace(t, values=bad_values)
     with pytest.raises(RoundingFailure):
         homcount.commutator_count(bad, 4)
+
+
+# -- class-representative scans against the per-element scan
+
+ORACLE_GROUPS = [("GL", 2, 2), ("SL", 2, 3), ("GL", 2, 3), ("GL", 2, 4), ("SL", 2, 5), ("SL", 2, 9)]
+ORACLE_IDS = [f"{kind}{n}(F_{q})" for kind, n, q in ORACLE_GROUPS]
+FULL_SCAN_TUPLES = 6 * 10**6  # the per-element scan below visits every tuple
+
+
+def _full_scan(ctx, words, d):
+    """Word values over G^d with x1 over every element: one block per x1."""
+    N = ctx.order
+    rest = [r.reshape(-1) for r in np.indices((N,) * (d - 1), dtype=np.int64)]
+    size = N ** (d - 1)
+    for x1 in range(N):
+        assign = [np.full(size, x1, dtype=np.int64), *rest]
+        block = []
+        for w in words:
+            acc = np.full(size, ctx.identity_index, dtype=np.int64)
+            for g, s in w.letters:
+                v = assign[g - 1]
+                acc = ctx.mul(acc, v if s > 0 else ctx.inv_idx[v])
+            block.append(acc)
+        yield block
+
+
+def _full_histogram(ctx, word):
+    hist = np.zeros(ctx.order, dtype=np.int64)
+    for (vals,) in _full_scan(ctx, [word], word.max_gen):
+        hist += np.bincount(vals, minlength=ctx.order)
+    return hist
+
+
+def _convolution_by_u(ctx, f, g, dtype):
+    """(f * g)(z) summed over u: out += f(u) g(u^-1 .) for every u."""
+    N = ctx.order
+    all_idx = np.arange(N, dtype=np.int64)
+    g = np.asarray(g, dtype=dtype)
+    out = np.zeros(N, dtype=dtype)
+    for u in range(N):
+        if f[u]:
+            out += int(f[u]) * g[ctx.mul(int(ctx.inv_idx[u]), all_idx)]
+    return out
+
+
+def _same(got, want):
+    return got.dtype == want.dtype and [int(v) for v in got] == [int(v) for v in want]
+
+
+@pytest.mark.parametrize("key", ORACLE_GROUPS, ids=ORACLE_IDS)
+def test_class_scan_word_histogram_matches_full_scan(group, key):
+    ctx = group(*key)
+    texts = ["x1 x1", "X1 x1 x1 x1", "[x1,x2]", "x1 x1 x2 x2 x2", "x1 X2 x1",
+             "x2 x3", "x1 x2 x3", "[x1,x2] X3 x1"]
+    scanned = 0
+    for text in texts:
+        w = parse_word(text)
+        if ctx.order**w.max_gen > FULL_SCAN_TUPLES:
+            continue
+        got = homcount.word_histogram(ctx, w)
+        assert _same(got, _full_histogram(ctx, w)), text
+        scanned += 1
+    assert scanned >= 5  # every word in one or two generators
+
+
+@pytest.mark.parametrize("key", ORACLE_GROUPS, ids=ORACLE_IDS)
+def test_class_scan_hom_count_matches_full_scan(group, key):
+    ctx = group(*key)
+    ident = ctx.identity_index
+    presentations = [
+        Presentation(2, ("x1 x2 x1 x2",)),
+        Presentation(2, ("[x1,x2]", "x2 x2 x2 x2")),
+        Presentation(3, ("x2 x3 x2 x3", "[x1,x3]")),
+    ]
+    for pres in presentations:
+        if ctx.order**pres.generators > FULL_SCAN_TUPLES:
+            continue
+        want = sum(
+            int(np.logical_and.reduce([vals == ident for vals in block]).sum())
+            for block in _full_scan(ctx, pres.relators, pres.generators)
+        )
+        assert homcount.hom_count_bruteforce(pres, ctx) == want, pres
+
+
+@pytest.mark.parametrize("key", ORACLE_GROUPS, ids=ORACLE_IDS)
+def test_class_scan_commutator_histogram_matches_full_scan(group, key):
+    ctx = group(*key)
+    got = homcount.commutator_histogram(ctx)
+    assert _same(got, _full_histogram(ctx, parse_word("[x1,x2]")))
+
+
+@pytest.mark.parametrize("key", ORACLE_GROUPS, ids=ORACLE_IDS)
+def test_convolution_matches_sum_over_u(group, key):
+    ctx = group(*key)
+    rng = np.random.default_rng(ctx.order)
+    comm = homcount.commutator_histogram(ctx)
+    sq = homcount.squaring_histogram(ctx)
+    last = np.asarray(ctx.class_of == len(ctx.classes) - 1, dtype=np.int64)
+    noise = rng.integers(-4, 5, ctx.order)
+    pairs = [(comm, sq), (sq, last), (last, last), (noise, rng.integers(0, 3, ctx.order)),
+             (comm, noise), (noise, sq)]
+    for f, g in pairs:
+        assert _same(homcount.element_convolution(ctx, f, g),
+                     _convolution_by_u(ctx, f, g, np.int64))
+
+
+def test_convolution_matches_sum_over_u_above_int64(group):
+    # the genus-6 surface count of SL_2(F_5) passes 2^63 in its last step
+    ctx = group("SL", 2, 5)
+    base = homcount.commutator_histogram(ctx)
+    acc = base
+    for _ in range(5):
+        bound = max(abs(int(v)) for v in acc) * sum(int(v) for v in base)
+        want = _convolution_by_u(ctx, acc, base, np.int64 if bound < 2**63 else object)
+        acc = homcount.element_convolution(ctx, acc, base)
+        assert _same(acc, want)
+    assert acc.dtype == object
+
+
+def test_merged_classes_fail_the_class_sum_certificate():
+    # well-formed class data that merges the last class (order 8) into an
+    # order-6 class: sizes and class_of agree, the partition is wrong
+    ctx = matgrp.group_build_uncached("GL", 2, ff.field_make_q(3))
+    classes = ctx.classes
+    a = next(c.index for c in classes if c.element_order == 6)
+    b = len(classes) - 1
+    assert classes[b].element_order == 8
+    merged = dataclasses.replace(classes[a], size=classes[a].size + classes[b].size)
+    class_of = ctx.class_of.copy()
+    class_of[class_of == b] = a
+    ctx._classes = [*classes[:a], merged, *classes[a + 1 : b]]
+    ctx._class_of = class_of
+    assert np.array_equal(np.bincount(class_of), [c.size for c in ctx._classes])
+    with pytest.raises(CertificateError):
+        homcount.word_histogram(ctx, parse_word("[x1,x2]"))

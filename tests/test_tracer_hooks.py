@@ -2,7 +2,8 @@
 
 bench/tracer.py wraps functions and methods by name, so a rename in the
 program would silently zero its per-layer metrics.  This runs the tracer
-against the source tree in a subprocess and checks the matgrp metrics.
+against the source tree in a subprocess and checks the matgrp metrics and
+those of the tuple-scan engine.
 """
 
 import json
@@ -16,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = """
 import json, sys, tempfile
 import matgroups, tracer
-from matgroups import charbound, ff, matgrp
+from matgroups import charbound, ff, homcount, matgrp
 
 unresolved = [f"{mod}.{name}" for mod, names in tracer.PRIVATE.items()
               for name in names if not callable(getattr(getattr(matgroups, mod), name, None))]
@@ -32,6 +33,8 @@ with tempfile.TemporaryDirectory() as cache:
         ctx.classes
 rep = next(c.representative for c in ctx.classes if c.is_semisimple)
 charbound.fixed_subspace_count(rep, 1)
+homcount.word_histogram(ctx, homcount.parse_word("[x1,x2]"))
+homcount.hom_count_bruteforce(homcount.Presentation(2, ("x1 x2 x1 x2",)), ctx)
 t.active = False
 metrics = tracer.layer_metrics(t.calls, t.self_s, t.counts, len(t.spans["id"]))
 json.dump({"unresolved": unresolved, "metrics": {k: v[0] for k, v in metrics.items()}},
@@ -49,5 +52,5 @@ def test_tracer_hooks_resolve_and_count():
     assert out["unresolved"] == []
     metrics = out["metrics"]
     for name in ("matgrp.charpoly_calls", "matgrp.det_mats", "matgrp.classes",
-                 "matgrp.cache_hits"):
+                 "matgrp.cache_hits", "homcount.kernels", "homcount.eval_calls"):
         assert metrics[name] > 0, name
